@@ -8,7 +8,9 @@
 //! A bench gates when its median is more than the threshold (default 20%)
 //! slower **and** the delta clears a noise floor of twice the summed MADs;
 //! a bench present in the baseline but absent from the candidate also
-//! gates. `--informational` prints the comparison but always exits 0.
+//! gates, and so does a bench whose `work` checksum differs between two
+//! reports of the same `mode` (deterministic quantities gate exactly).
+//! `--informational` prints the comparison but always exits 0.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

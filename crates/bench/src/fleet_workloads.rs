@@ -13,9 +13,10 @@
 //! `(kind, params)` it reconstructs the workload in a fresh process.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use x2v_ckpt::codec::{Dec, Enc};
-use x2v_core::GraphKernel;
+use x2v_core::{FeatureGram, GraphKernel};
 use x2v_embed::walks::{generate_walk_chunk, walk_chunks, WalkConfig};
 use x2v_fleet::Workload;
 use x2v_graph::Graph;
@@ -70,12 +71,14 @@ fn decode_graph(d: &mut Dec<'_>) -> Result<Graph, GuardError> {
 
 /// The WL-kernel Gram workload: task `t` computes rows
 /// `t·block .. (t+1)·block` of the upper triangle of the `n × n` Gram
-/// matrix of [`WlSubtreeKernel`] over a fixed graph list.
+/// matrix of [`WlSubtreeKernel`] over a fixed graph list. Entries come
+/// from the kernel's feature map, extracted once per process on the first
+/// task ([`GraphKernel::feature_gram`] — bit-identical to `eval`).
 pub struct GramWorkload {
     rounds: usize,
     block: usize,
     graphs: Vec<Graph>,
-    kernel: WlSubtreeKernel,
+    features: OnceLock<FeatureGram>,
 }
 
 impl GramWorkload {
@@ -90,7 +93,7 @@ impl GramWorkload {
             rounds,
             block,
             graphs,
-            kernel: WlSubtreeKernel::new(rounds),
+            features: OnceLock::new(),
         }
     }
 
@@ -159,13 +162,16 @@ impl Workload for GramWorkload {
                 message: format!("gram task {task} out of range ({n} graphs)"),
             });
         }
+        let features = self.features.get_or_init(|| {
+            let kernel = WlSubtreeKernel::new(self.rounds);
+            kernel
+                .feature_gram(&self.graphs)
+                .expect("the WL kernel has a feature map")
+        });
         // Upper-triangle entries only: row i contributes n − i values.
-        let mut entries = Vec::with_capacity((r1 - r0) * n);
-        for i in r0..r1 {
-            for j in i..n {
-                entries.push(self.kernel.eval(&self.graphs[i], &self.graphs[j]));
-            }
-        }
+        let entries: Vec<f64> = (r0..r1)
+            .flat_map(|i| (i..n).map(move |j| (features.entry)(i, j)))
+            .collect();
         let mut e = Enc::new();
         e.f64_slice(&entries);
         Ok(e.finish())
@@ -366,6 +372,7 @@ mod tests {
     use x2v_datasets::synthetic::cycles_vs_trees;
     use x2v_embed::walks::generate_walks;
     use x2v_graph::generators::cycle;
+    use x2v_kernel::gram::PairwiseOnly;
 
     fn run_all(w: &dyn Workload) -> Vec<Option<Vec<u8>>> {
         (0..w.num_tasks())
@@ -380,7 +387,7 @@ mod tests {
         let n = w.n_graphs();
         let (merged, missing) = merge_gram(n, w.block(), &run_all(&w)).unwrap();
         assert!(missing.is_empty());
-        let direct = WlSubtreeKernel::new(3).gram(&data.graphs);
+        let direct = PairwiseOnly(WlSubtreeKernel::new(3)).gram(&data.graphs);
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(

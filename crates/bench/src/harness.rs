@@ -26,9 +26,9 @@ pub fn kernel_cv_accuracy(
     gram_cv_accuracy(&gram, &dataset.labels, folds, seed)
 }
 
-/// [`kernel_cv_accuracy`] with a crash-safe Gram build: the `O(n²)` kernel
-/// evaluation — the dominant cost — goes through
-/// [`x2v_kernel::gram::gram_resumable`], so with an ambient
+/// [`kernel_cv_accuracy`] with a crash-safe Gram build: the Gram — the
+/// dominant cost — goes through [`x2v_kernel::gram::gram_resumable`],
+/// which reads the kernel's feature map when it has one, so with an ambient
 /// [`x2v_ckpt::Store`] installed the partial matrix survives a crash or a
 /// budget trip and a re-run resumes from the last completed row block
 /// instead of recomputing. Fold assignment and SVM training are cheap and
@@ -36,7 +36,7 @@ pub fn kernel_cv_accuracy(
 ///
 /// # Errors
 /// Budget/cancellation errors from the ambient [`x2v_guard::Budget`]
-/// (metered per kernel evaluation) and numeric failures from
+/// (metered per Gram entry) and numeric failures from
 /// normalisation.
 pub fn kernel_cv_accuracy_resumable(
     kernel: &(dyn GraphKernel + Sync),

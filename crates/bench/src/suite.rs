@@ -302,12 +302,13 @@ fn workloads(smoke: bool) -> Vec<Workload> {
         });
     }
 
-    // Single-pass feature Gram vs N×N pairwise kernel evaluations over one
-    // larger dataset. `gram_feat`'s `baseline` cross-assert is the suite's
-    // golden-CRC gate on the exact-equivalence contract: the feature path
-    // must reproduce the pairwise work checksum bit for bit, while the
-    // medians quantify collapsing per-entry re-refinement into one
-    // feature-extraction pass plus sparse merge-join dot products.
+    // Single-pass feature Gram vs N×N pairwise kernel evaluations (the
+    // `PairwiseOnly` oracle) over one larger dataset. `gram_feat`'s
+    // `baseline` cross-assert is the suite's golden-CRC gate on the
+    // exact-equivalence contract: the feature path must reproduce the
+    // pairwise work checksum bit for bit, while the medians quantify
+    // collapsing per-entry re-refinement into one feature-extraction pass
+    // plus sparse merge-join dot products.
     let ds_feat = cycles_vs_trees(pick(40, 6), 9, 37).graphs;
     for (name, threads, baseline) in [
         ("kernel/gram_pairwise", 1, None),
@@ -324,7 +325,8 @@ fn workloads(smoke: bool) -> Vec<Workload> {
                 let m = if feat_path {
                     x2v_kernel::gram::gram_from_features(&kernel, &graphs, "bench-gram-feat")
                 } else {
-                    x2v_kernel::gram::gram_resumable(&kernel, &graphs, "bench-gram-pairwise")
+                    let oracle = x2v_kernel::gram::PairwiseOnly(kernel);
+                    x2v_kernel::gram::gram_resumable(&oracle, &graphs, "bench-gram-pairwise")
                 }
                 .unwrap_or_else(|e| panic!("{e}"));
                 fold_f64s(m.as_slice())
@@ -671,6 +673,8 @@ pub struct LoadedBench {
     pub median_ns: f64,
     /// Median absolute deviation (ns).
     pub mad_ns: f64,
+    /// The deterministic `work` checksum, when the report records one.
+    pub work: Option<u64>,
 }
 
 /// A `BENCH_*.json` document loaded for diffing.
@@ -714,7 +718,15 @@ pub fn parse_report(text: &str) -> Result<LoadedReport, String> {
             .get("mad_ns")
             .and_then(JsonValue::as_f64)
             .unwrap_or(0.0);
-        benches.insert(name.clone(), LoadedBench { median_ns, mad_ns });
+        let work = entry.get("work").and_then(JsonValue::as_u64);
+        benches.insert(
+            name.clone(),
+            LoadedBench {
+                median_ns,
+                mad_ns,
+                work,
+            },
+        );
     }
     Ok(LoadedReport {
         schema,
@@ -753,6 +765,9 @@ pub struct DiffReport {
     pub missing: Vec<String>,
     /// Keys present only in the candidate.
     pub added: Vec<String>,
+    /// `(key, baseline work, candidate work)` for benches whose `work`
+    /// checksums differ between two reports of the same mode.
+    pub work_changed: Vec<(String, u64, u64)>,
     /// Threshold used (percent).
     pub threshold_pct: f64,
 }
@@ -760,9 +775,10 @@ pub struct DiffReport {
 impl DiffReport {
     /// Whether a gating run must fail (any regression; a *missing* bench is
     /// also gating — deleting the workload would otherwise be the easiest
-    /// way to hide a regression).
+    /// way to hide a regression; so is a changed `work` checksum — the
+    /// timings then belong to different computations).
     pub fn failed(&self) -> bool {
-        !self.regressions.is_empty() || !self.missing.is_empty()
+        !self.regressions.is_empty() || !self.missing.is_empty() || !self.work_changed.is_empty()
     }
 
     /// Human-readable summary.
@@ -805,6 +821,9 @@ impl DiffReport {
         for name in &self.added {
             let _ = writeln!(out, "added       {name} (no baseline entry)");
         }
+        for (name, old, new) in &self.work_changed {
+            let _ = writeln!(out, "WORK        {name} checksum {old} -> {new}");
+        }
         if out.is_empty() {
             out.push_str("no significant changes\n");
         }
@@ -815,7 +834,8 @@ impl DiffReport {
 /// Compares candidate medians against baseline medians. A bench regresses
 /// when it is more than `threshold_pct` percent slower **and** the delta
 /// exceeds a noise floor of twice the summed MADs (so a 1-rep smoke diff
-/// degenerates to the pure percentage rule).
+/// degenerates to the pure percentage rule). When both reports have the
+/// same `mode`, `work` checksums are compared exactly.
 pub fn diff_reports(old: &LoadedReport, new: &LoadedReport, threshold_pct: f64) -> DiffReport {
     let mut diff = DiffReport {
         threshold_pct,
@@ -826,6 +846,11 @@ pub fn diff_reports(old: &LoadedReport, new: &LoadedReport, threshold_pct: f64) 
             diff.missing.push(name.clone());
             continue;
         };
+        if let (Some(ow), Some(nw)) = (o.work, n.work) {
+            if old.mode == new.mode && ow != nw {
+                diff.work_changed.push((name.clone(), ow, nw));
+            }
+        }
         if o.median_ns <= 0.0 {
             continue;
         }
@@ -916,7 +941,14 @@ mod tests {
             mode: "test".to_string(),
             benches: entries
                 .iter()
-                .map(|&(n, median_ns, mad_ns)| (n.to_string(), LoadedBench { median_ns, mad_ns }))
+                .map(|&(n, median_ns, mad_ns)| {
+                    let bench = LoadedBench {
+                        median_ns,
+                        mad_ns,
+                        work: Some(1),
+                    };
+                    (n.to_string(), bench)
+                })
                 .collect(),
         }
     }
@@ -956,6 +988,24 @@ mod tests {
         assert_eq!(d.missing, vec!["a/y".to_string()]);
         assert_eq!(d.added, vec!["a/z".to_string()]);
         assert!(d.failed());
+    }
+
+    #[test]
+    fn changed_work_gates_only_within_one_mode() {
+        let old = report_with(&[("a/x", 1000.0, 0.0), ("a/y", 1000.0, 0.0)]);
+        let mut new = old.clone();
+        new.benches.get_mut("a/y").unwrap().work = Some(2);
+        let d = diff_reports(&old, &new, 20.0);
+        assert_eq!(d.work_changed, vec![("a/y".to_string(), 1, 2)]);
+        assert!(d.failed());
+        assert!(d.render().contains("WORK        a/y"), "{}", d.render());
+        // Smoke and full inputs differ, so their checksums never compare.
+        new.mode = "smoke".to_string();
+        assert!(!diff_reports(&old, &new, 20.0).failed());
+        // A report without checksums (the oldest schema) never gates on them.
+        new.mode = old.mode.clone();
+        new.benches.get_mut("a/y").unwrap().work = None;
+        assert!(!diff_reports(&old, &new, 20.0).failed());
     }
 
     #[test]
@@ -1016,6 +1066,7 @@ mod tests {
         assert_eq!(loaded.benches.len(), 2);
         assert_eq!(loaded.benches["z/last"].median_ns, 1500.0);
         assert_eq!(loaded.benches["a/first"].mad_ns, 5.0);
+        assert_eq!(loaded.benches["z/last"].work, Some(42));
         // Keys serialise sorted.
         let a = json.find("\"a/first\"").unwrap();
         let z = json.find("\"z/last\"").unwrap();

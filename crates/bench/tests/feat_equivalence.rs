@@ -4,7 +4,8 @@
 //! Every test draws a fresh randomized dataset from a battery seed and
 //! asserts bit-level or partition-level equivalence:
 //!
-//! * `gram_from_features` ≡ pairwise `gram_resumable`, bit for bit, at
+//! * `gram_resumable`'s feature path ≡ its pairwise path (the
+//!   [`PairwiseOnly`] oracle, one `eval` per entry), bit for bit, at
 //!   `X2V_THREADS ∈ {1, 2, 8}`, plain and discounted;
 //! * hash-based WL colouring ≡ interner-based WL colouring up to colour
 //!   renaming (and its collision counter stays silent at 64-bit width);
@@ -26,7 +27,7 @@ use x2v_graph::csr::Csr;
 use x2v_graph::generators::gnp;
 use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
-use x2v_kernel::gram::{gram_from_features, gram_resumable};
+use x2v_kernel::gram::{gram_resumable, PairwiseOnly};
 use x2v_kernel::wl::WlSubtreeKernel;
 use x2v_linalg::Matrix;
 use x2v_wl::hashwl::{HashRefiner, HashWlConfig, DEFAULT_SEED};
@@ -99,18 +100,19 @@ fn assert_bit_equal(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
-/// `gram_from_features` must equal the pairwise builder bit for bit — at
+/// The feature path must equal the pairwise oracle bit for bit — at
 /// every thread count, for the plain and the discounted kernel.
 #[test]
 fn gram_feat_bit_equals_pairwise_across_threads() {
     let graphs = mixed_dataset(0x01, 14);
     for kernel in [WlSubtreeKernel::new(3), WlSubtreeKernel::discounted(5)] {
         let mut reference: Option<Matrix> = None;
+        let oracle = PairwiseOnly(kernel);
         for threads in [1usize, 2, 8] {
             let (pairwise, feat) = x2v_par::with_threads(threads, || {
                 (
-                    gram_resumable(&kernel, &graphs, "feat-equiv-pairwise").unwrap(),
-                    gram_from_features(&kernel, &graphs, "feat-equiv-feat").unwrap(),
+                    gram_resumable(&oracle, &graphs, "feat-equiv-pairwise").unwrap(),
+                    gram_resumable(&kernel, &graphs, "feat-equiv-feat").unwrap(),
                 )
             });
             assert_bit_equal(

@@ -36,11 +36,28 @@ pub trait NodeEmbedding {
     fn dimension(&self) -> usize;
 }
 
+/// The Gram entries of a kernel with an explicit feature map, computed from
+/// one feature pass over a dataset (see [`GraphKernel::feature_gram`]).
+pub struct FeatureGram {
+    /// The kernel's parameters (e.g. rounds, discounting); Gram builders
+    /// bind them into checkpoint fingerprints.
+    pub params: Vec<u64>,
+    /// `entry(i, j) == eval(&graphs[i], &graphs[j])`, bit for bit.
+    pub entry: Box<dyn Fn(usize, usize) -> f64 + Send + Sync>,
+}
+
 /// A kernel function on graphs (Section 2.4): symmetric and positive
 /// semidefinite, implicitly an inner product of some embedding.
 pub trait GraphKernel {
     /// Evaluates `K(G, H)`.
     fn eval(&self, g: &Graph, h: &Graph) -> f64;
+
+    /// The Gram entries over `graphs` from one pass of the kernel's
+    /// explicit feature map, or `None` (the default) when the kernel has
+    /// none and Gram builders must call [`GraphKernel::eval`] per pair.
+    fn feature_gram(&self, _graphs: &[Graph]) -> Option<FeatureGram> {
+        None
+    }
 
     /// The Gram matrix over a dataset (override for shared-state
     /// efficiency). Row-major, symmetric.

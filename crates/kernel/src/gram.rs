@@ -1,5 +1,9 @@
 //! Gram-matrix utilities: centering, cosine normalisation, PSD checks, and
-//! crash-safe row-block construction ([`gram_resumable`]).
+//! the one Gram builder, [`gram_resumable`]: crash-safe, budget-metered
+//! row-block construction that reads a kernel's explicit feature map
+//! ([`GraphKernel::feature_gram`]) when it has one and calls `eval` per
+//! pair otherwise. [`PairwiseOnly`] hides the feature map, which makes
+//! the per-pair path the oracle for the feature path.
 
 use x2v_ckpt::codec::{Dec, Enc};
 use x2v_ckpt::crc32::Crc32;
@@ -34,14 +38,19 @@ fn gram_fingerprint(graphs: &[Graph]) -> u32 {
     c.finish()
 }
 
-/// Builds the Gram matrix `K[i][j] = kernel.eval(graphs[i], graphs[j])`
-/// with row-block checkpoints: when an ambient [`x2v_ckpt::Store`] is
-/// installed, the partial matrix is persisted under `job` every
-/// [`ROW_BLOCK`] completed outer rows, and — with [`x2v_ckpt::set_resume`]
-/// in effect — construction restarts from the last completed row instead
-/// of from scratch. The symmetric fill order matches
-/// [`GraphKernel::gram`]'s default, and `eval` is deterministic, so the
-/// resumed matrix is bit-identical to an uninterrupted build.
+/// Builds the Gram matrix `K[i][j] = K(graphs[i], graphs[j])`: from one
+/// pass of the kernel's explicit feature map when it has one
+/// ([`GraphKernel::feature_gram`], bit-identical by contract), otherwise
+/// from one [`GraphKernel::eval`] per pair.
+///
+/// With an ambient [`x2v_ckpt::Store`] installed, the partial matrix is
+/// persisted under `job` every [`ROW_BLOCK`] completed outer rows, and —
+/// with [`x2v_ckpt::set_resume`] in effect — construction restarts from
+/// the last completed row instead of from scratch. The fingerprint binds
+/// the dataset shape and, on the feature path, the kernel's parameters, so
+/// another kernel's checkpoint cold-starts instead of merging. Entries are
+/// deterministic, so the resumed matrix is bit-identical to an
+/// uninterrupted build.
 ///
 /// Rows within a block are evaluated in parallel (`x2v-par`); the kernel
 /// must therefore be `Sync`. Determinism survives: the row set of each
@@ -49,16 +58,16 @@ fn gram_fingerprint(graphs: &[Graph]) -> u32 {
 /// are computed by a single worker in `j` order, and rows are written
 /// back in row order.
 ///
-/// The ambient [`x2v_guard::Budget`] is metered one work unit per kernel
-/// evaluation at [`BUILD_SITE`] — *pre-charged row by row on the
+/// The ambient [`x2v_guard::Budget`] is metered one work unit per Gram
+/// entry at [`BUILD_SITE`] on either path — *pre-charged row by row on the
 /// coordinator, in row order, before the block is dispatched*, so a
 /// work-limit trip cuts the build at the same row on every run and at
-/// every thread count. Workers poll the budget's deadline/cancel between
-/// rows ([`x2v_guard::Budget::poll`]), which costs no work units. A
-/// partial Gram matrix is unusable downstream (CV folds need every
-/// entry), so a budget trip surfaces as `Err` — but the completed rows
-/// are checkpointed first, so the work is durable and a re-run with a
-/// fresh budget resumes rather than recomputes.
+/// every thread count; the feature pass is not metered. Workers poll the
+/// budget's deadline/cancel between rows ([`x2v_guard::Budget::poll`]),
+/// which costs no work units. A partial Gram matrix is unusable
+/// downstream (CV folds need every entry), so a budget trip surfaces as
+/// `Err` — but the completed rows are checkpointed first, so the work is
+/// durable and a re-run with a fresh budget resumes rather than recomputes.
 ///
 /// # Errors
 /// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] from the
@@ -71,36 +80,25 @@ pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
 ) -> x2v_guard::Result<Matrix> {
     let _timer = x2v_obs::span("kernel/gram_build");
     let n = graphs.len();
-    build_rows_resumable(n, gram_fingerprint(graphs), job, |i| {
-        (i..n)
-            .map(|j| kernel.eval(&graphs[i], &graphs[j]))
-            .collect()
-    })
+    x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
+    let shape = gram_fingerprint(graphs);
+    // A one-item fallible job: a panic in the feature pass surfaces as the
+    // typed `WorkerPanic`, like a panic in a row.
+    let features = x2v_par::try_map_items(1, 1, |_| Ok(kernel.feature_gram(graphs)))?;
+    let Some(features) = features.into_iter().flatten().next() else {
+        return build_rows_resumable(n, shape, job, |i, j| kernel.eval(&graphs[i], &graphs[j]));
+    };
+    let mut c = Crc32::new();
+    c.update(b"gram-feat");
+    c.update_u64(shape as u64);
+    for &p in &features.params {
+        c.update_u64(p);
+    }
+    build_rows_resumable(n, c.finish(), job, features.entry)
 }
 
-/// Builds the Gram matrix of a [`crate::wl::WlSubtreeKernel`] from *one*
-/// feature-extraction pass: every graph is refined exactly once through a
-/// shared interner, and each Gram entry is a sparse merge-join dot product
-/// of two [`x2v_wl::features::SparseWlFeatures`] vectors. This collapses
-/// the `N × N` kernel evaluations of the pairwise path — each of which
-/// re-refines both graphs from scratch — to `O(N · refine + nnz)` work.
-///
-/// **Exact-equivalence contract:** the result is bit-for-bit identical to
-/// [`gram_resumable`] with the same kernel (and to pairwise
-/// [`GraphKernel::eval`]). Per-round sums of products of node counts are
-/// integer-valued and therefore exact in `f64` regardless of summation
-/// order, and both paths combine the per-round sums in ascending round
-/// order — so even the discounted variant's `2^{-i}` weighting rounds
-/// identically. The `tests/feat_equivalence.rs` battery asserts this on
-/// randomized datasets across thread counts.
-///
-/// Composes with the same machinery as [`gram_resumable`]: row-block
-/// checkpoints under `job` (the fingerprint additionally binds the round
-/// count and discounting, so pairwise and feature checkpoints never merge),
-/// `x2v-par` row fan-out, and ambient-budget metering of one work unit per
-/// Gram entry at [`BUILD_SITE`] — a budget sized in entries trips at the
-/// same row on either path. The feature-extraction pass itself is not
-/// metered (it is the cheap, linear part).
+/// [`gram_resumable`] for the WL subtree kernel, which always takes its
+/// feature path.
 ///
 /// # Errors
 /// As [`gram_resumable`].
@@ -109,41 +107,31 @@ pub fn gram_from_features(
     graphs: &[Graph],
     job: &str,
 ) -> x2v_guard::Result<Matrix> {
-    let _timer = x2v_obs::span("kernel/gram_feat");
-    let n = graphs.len();
-    let mut c = Crc32::new();
-    c.update(b"gram-feat");
-    c.update_u64(gram_fingerprint(graphs) as u64);
-    c.update_u64(kernel.rounds() as u64);
-    c.update_u64(kernel.is_discounted() as u64);
-    let fingerprint = c.finish();
-    let feats = x2v_wl::features::dataset_sparse_features(graphs, kernel.rounds());
-    x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
-    build_rows_resumable(n, fingerprint, job, |i| {
-        (i..n)
-            .map(|j| {
-                if kernel.is_discounted() {
-                    feats[i].discounted_dot(&feats[j])
-                } else {
-                    feats[i].dot(&feats[j])
-                }
-            })
-            .collect()
-    })
+    gram_resumable(kernel, graphs, job)
 }
 
-/// The shared row-block core of [`gram_resumable`] and
-/// [`gram_from_features`]: resumable, budget-metered construction of a
-/// symmetric `n × n` matrix from a row evaluator. `row_eval(i)` must
-/// return the entries `i..n` of row `i`, deterministically.
+/// Forwards only [`GraphKernel::eval`], hiding any feature map: the
+/// pairwise oracle that tests and benches compare the feature path of
+/// [`gram_resumable`] against.
+pub struct PairwiseOnly<K>(pub K);
+
+impl<K: GraphKernel> GraphKernel for PairwiseOnly<K> {
+    fn eval(&self, g: &Graph, h: &Graph) -> f64 {
+        self.0.eval(g, h)
+    }
+}
+
+/// The row-block core of [`gram_resumable`]: resumable, budget-metered
+/// construction of a symmetric `n × n` matrix from a deterministic entry
+/// function, called for the upper triangle only.
 fn build_rows_resumable<F>(
     n: usize,
     fingerprint: u32,
     job: &str,
-    row_eval: F,
+    entry: F,
 ) -> x2v_guard::Result<Matrix>
 where
-    F: Fn(usize) -> Vec<f64> + Sync,
+    F: Fn(usize, usize) -> f64 + Sync,
 {
     let store = x2v_ckpt::ambient();
     let mut m = Matrix::zeros(n, n);
@@ -209,19 +197,10 @@ where
         let outcome = x2v_par::try_map_items(cut - block_start, 1, |off| {
             let i = block_start + off;
             budget.poll(BUILD_SITE)?;
-            Ok(row_eval(i))
+            Ok((i..n).map(|j| entry(i, j)).collect::<Vec<f64>>())
         });
         match outcome {
-            Ok(rows) => {
-                for (off, row) in rows.into_iter().enumerate() {
-                    let i = block_start + off;
-                    for (jo, v) in row.into_iter().enumerate() {
-                        let j = i + jo;
-                        m[(i, j)] = v;
-                        m[(j, i)] = v;
-                    }
-                }
-            }
+            Ok(rows) => fill_upper(&mut m, block_start, rows),
             Err(e) => {
                 // A worker saw the cancel/deadline fire (or panicked):
                 // persist the prefix completed in earlier blocks.
@@ -252,6 +231,28 @@ where
         let _ = store.clear_job(job);
     }
     Ok(m)
+}
+
+/// Writes upper-triangle rows into the symmetric `m`: `rows[k]` holds the
+/// entries `i..n` of row `i = first + k`.
+fn fill_upper(m: &mut Matrix, first: usize, rows: Vec<Vec<f64>>) {
+    for (k, row) in rows.into_iter().enumerate() {
+        let i = first + k;
+        for (off, v) in row.into_iter().enumerate() {
+            m[(i, i + off)] = v;
+            m[(i + off, i)] = v;
+        }
+    }
+}
+
+/// The symmetric `n × n` matrix of `entry(i, j)`, rows fanned out over
+/// `x2v-par` — an infallible site, so a worker panic re-panics. For the
+/// batch `gram` of kernels whose entries come from one shared pass.
+pub(crate) fn par_symmetric(n: usize, entry: impl Fn(usize, usize) -> f64 + Sync) -> Matrix {
+    let rows = x2v_par::map_items(n, 1, |i| (i..n).map(|j| entry(i, j)).collect::<Vec<f64>>());
+    let mut m = Matrix::zeros(n, n);
+    fill_upper(&mut m, 0, rows);
+    m
 }
 
 /// Decodes a `gram-rows` payload into `(fingerprint, rows_done, entries)`,
@@ -496,8 +497,9 @@ mod tests {
         use crate::wl::WlSubtreeKernel;
         let graphs = mixed_graphs();
         for kernel in [WlSubtreeKernel::new(3), WlSubtreeKernel::discounted(4)] {
-            let pairwise = gram_resumable(&kernel, &graphs, "test-gram-pairwise").unwrap();
             let feat = gram_from_features(&kernel, &graphs, "test-gram-feat").unwrap();
+            let pairwise =
+                gram_resumable(&PairwiseOnly(kernel), &graphs, "test-gram-pairwise").unwrap();
             for i in 0..graphs.len() {
                 for j in 0..graphs.len() {
                     assert_eq!(

@@ -1,21 +1,22 @@
 //! The Weisfeiler-Leman subtree kernel (Section 3.5, [94]).
 
-use x2v_core::GraphKernel;
+use x2v_core::{FeatureGram, GraphKernel};
 use x2v_graph::Graph;
 use x2v_linalg::Matrix;
-use x2v_wl::features::WlFeatureVector;
+use x2v_wl::features::{dataset_sparse_features, WlFeatureVector};
 use x2v_wl::Refiner;
 
 /// The t-round WL subtree kernel
 /// `K^{(t)}_WL(G, H) = Σ_{i≤t} Σ_c wl(c,G) · wl(c,H)`.
 ///
 /// The paper reports `t = 5` as the sweet spot in practice; that is the
-/// default. The kernel is stateless (and therefore `Sync`, so Gram rows
-/// can be evaluated from parallel workers): each evaluation refines
-/// through a fresh interner. Kernel *values* don't depend on interner
-/// identity — a feature dot product compares signature multisets, which
-/// are intrinsic to the graphs — so this is value-identical to sharing
-/// one interner across evaluations, just without the shared mutable state.
+/// default. The kernel is stateless (and therefore `Sync`): each `eval`
+/// refines through a fresh interner, while Gram builders take the explicit
+/// feature map ([`GraphKernel::feature_gram`]) — one pass through a shared
+/// interner. Kernel *values* don't depend on interner identity — a feature
+/// dot product compares signature multisets, which are intrinsic to the
+/// graphs — so both paths agree bit for bit.
+#[derive(Clone, Copy, Debug)]
 pub struct WlSubtreeKernel {
     rounds: usize,
     discounted: bool,
@@ -54,6 +55,23 @@ impl WlSubtreeKernel {
         self.discounted
     }
 
+    /// The Gram entries over `graphs` from one refinement pass through a
+    /// shared interner; each entry is a sparse merge-join dot. Bit-identical
+    /// to [`GraphKernel::eval`]: per-round sums of count products are
+    /// integers (exact in `f64` in any order) and both paths combine rounds
+    /// in ascending order.
+    fn sparse_entries(&self, graphs: &[Graph]) -> impl Fn(usize, usize) -> f64 + Send + Sync {
+        let feats = dataset_sparse_features(graphs, self.rounds);
+        let discounted = self.discounted;
+        move |i, j| {
+            if discounted {
+                feats[i].discounted_dot(&feats[j])
+            } else {
+                feats[i].dot(&feats[j])
+            }
+        }
+    }
+
     fn dot(&self, a: &WlFeatureVector, b: &WlFeatureVector) -> f64 {
         if self.discounted {
             a.discounted_dot(b)
@@ -71,32 +89,18 @@ impl GraphKernel for WlSubtreeKernel {
         self.dot(&fg, &fh)
     }
 
+    fn feature_gram(&self, graphs: &[Graph]) -> Option<FeatureGram> {
+        Some(FeatureGram {
+            params: vec![self.rounds as u64, self.discounted as u64],
+            entry: Box::new(self.sparse_entries(graphs)),
+        })
+    }
+
     fn gram(&self, graphs: &[Graph]) -> Matrix {
         let _timer = x2v_obs::span("kernel/gram");
-        // Batch path: compute every feature vector once through one shared
-        // interner (serial — the interner is the shared mutable state),
-        // then fan the O(n²) dot products out over parallel row chunks.
-        let mut refiner = Refiner::new();
-        let feats: Vec<WlFeatureVector> = graphs
-            .iter()
-            .map(|g| WlFeatureVector::compute(&mut refiner, g, self.rounds))
-            .collect();
         let n = graphs.len();
         x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
-        let rows = x2v_par::map_items(n, 1, |i| {
-            (i..n)
-                .map(|j| self.dot(&feats[i], &feats[j]))
-                .collect::<Vec<f64>>()
-        });
-        let mut m = Matrix::zeros(n, n);
-        for (i, row) in rows.into_iter().enumerate() {
-            for (off, v) in row.into_iter().enumerate() {
-                let j = i + off;
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
+        crate::gram::par_symmetric(n, self.sparse_entries(graphs))
     }
 }
 

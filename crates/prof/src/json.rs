@@ -13,8 +13,11 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (as `f64`).
+    /// Any other JSON number (as `f64`).
     Num(f64),
+    /// A plain non-negative integer that fits a `u64`, kept exact (work
+    /// checksums use all 64 bits).
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -51,6 +54,15 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
+            JsonValue::Int(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this is a plain non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -256,6 +268,9 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::Int(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| format!("bad number '{text}' at offset {start}"))
@@ -287,6 +302,16 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("c"), Some(&JsonValue::Null));
         assert_eq!(v.get("d"), Some(&JsonValue::Bool(true)));
+    }
+
+    #[test]
+    fn integers_keep_all_64_bits() {
+        let v = JsonValue::parse("[18137650417668193504, 18137650417668193505, 2.0]").unwrap();
+        let a = v.as_arr().unwrap();
+        assert_eq!(a[0].as_u64(), Some(18_137_650_417_668_193_504));
+        assert_ne!(a[0].as_u64(), a[1].as_u64());
+        assert_eq!(a[0].as_f64(), Some(18_137_650_417_668_193_504.0));
+        assert_eq!(a[2].as_u64(), None);
     }
 
     #[test]

@@ -30,6 +30,10 @@ fn corpus(seed: u64, sentences: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("x2v-ckpt-int-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -145,6 +149,39 @@ fn interrupted_and_resumed_runs_are_bit_identical_to_uninterrupted() {
         }
     }
 
+    // ---- A checkpoint of one kernel never resumes another: WL(2) trips
+    // with rows persisted under "gram-kernel", then WL(3) resumes the same
+    // job. The fingerprint binds the rounds, so the resume cold-starts and
+    // finishes bit-equal to an uninterrupted WL(3).
+    let counter = |name: &str| {
+        let report = x2v_obs::report("ckpt-integration");
+        report.counters.get(name).copied().unwrap_or(0)
+    };
+    let wl3 = WlSubtreeKernel::new(3);
+    let expected_wl3 = gram_resumable(&wl3, &graphs, "gram-kernel-golden").unwrap();
+    x2v_guard::install_ambient(Budget::unlimited().with_work_limit(20));
+    let err = gram_resumable(&kernel, &graphs, "gram-kernel").unwrap_err();
+    assert!(matches!(err, GuardError::BudgetExhausted { .. }), "{err:?}");
+    x2v_guard::clear_ambient();
+    let (resumed_before, cold_before) =
+        (counter("ckpt/resumed"), counter("ckpt/fallback_cold_start"));
+    let wl3_gram = gram_resumable(&wl3, &graphs, "gram-kernel").unwrap();
+    assert_eq!(
+        counter("ckpt/resumed"),
+        resumed_before,
+        "WL(2) rows must not resume WL(3)"
+    );
+    assert_eq!(
+        counter("ckpt/fallback_cold_start"),
+        cold_before + 1,
+        "WL(3) must cold-start"
+    );
+    assert_eq!(
+        bits(expected_wl3.as_slice()),
+        bits(wl3_gram.as_slice()),
+        "WL(3) after a WL(2) checkpoint must equal an uninterrupted WL(3)"
+    );
+
     // ---- The obs counters recorded the whole story.
     let report = x2v_obs::report("ckpt-integration");
     let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
@@ -158,9 +195,10 @@ fn interrupted_and_resumed_runs_are_bit_identical_to_uninterrupted() {
     assert!(counter("ckpt/bytes_written") > 0);
     // One w2v resume + one Gram resume.
     assert_eq!(counter("ckpt/resumed"), 2, "w2v + gram resumes");
-    // gram-golden and the first gram-det attempt both cold-started.
+    // gram-golden, the first gram-det attempt and the three gram-kernel
+    // builds all cold-started.
     assert!(
-        counter("ckpt/fallback_cold_start") >= 2,
+        counter("ckpt/fallback_cold_start") >= 5,
         "ckpt/fallback_cold_start = {}",
         counter("ckpt/fallback_cold_start")
     );

@@ -14,6 +14,8 @@
 //! one-shots, so everything runs inside ONE `#[test]` which picks the
 //! scenario from the environment.
 
+use std::sync::Once;
+
 use x2v_core::GraphKernel;
 use x2v_datasets::synthetic::cycles_vs_trees;
 use x2v_graph::generators::gnp;
@@ -28,6 +30,27 @@ use rand::SeedableRng;
 fn small_graphs() -> Vec<Graph> {
     let mut rng = StdRng::seed_from_u64(5);
     (0..10).map(|_| gnp(12, 0.25, &mut rng)).collect()
+}
+
+/// The pairwise WL kernel, except that its first `eval` cancels `token`
+/// from another thread and returns only once the cancel is visible.
+struct CancelOnFirstEval {
+    inner: WlSubtreeKernel,
+    token: CancelToken,
+    fired: Once,
+}
+
+impl GraphKernel for CancelOnFirstEval {
+    fn eval(&self, g: &Graph, h: &Graph) -> f64 {
+        self.fired.call_once(|| {
+            let token = self.token.clone();
+            std::thread::spawn(move || token.cancel())
+                .join()
+                .expect("canceller thread");
+            assert!(self.token.is_cancelled());
+        });
+        self.inner.eval(g, h)
+    }
 }
 
 #[test]
@@ -106,24 +129,26 @@ fn worker_panics_are_contained_and_cancel_reaches_workers() {
 
     // ---- Cross-thread cancellation mid-flight: a CancelToken fired from
     // another thread while the parallel Gram build is running surfaces as
-    // the typed Cancelled error at the build site.
+    // the typed Cancelled error at the build site. The kernel's first
+    // `eval` fires the token, so the cancel lands mid-build on every run.
     let ds = cycles_vs_trees(60, 10, 17);
     let token = CancelToken::new();
     x2v_guard::install_ambient(Budget::unlimited().with_cancel(token.clone()));
-    let canceller = {
-        let token = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            token.cancel();
-        })
+    let cancelling = CancelOnFirstEval {
+        inner: kernel,
+        token: token.clone(),
+        fired: Once::new(),
     };
-    let res = x2v_par::with_threads(4, || gram_resumable(&kernel, &ds.graphs, "par-cancel"));
-    canceller.join().expect("canceller thread");
+    let res = x2v_par::with_threads(4, || gram_resumable(&cancelling, &ds.graphs, "par-cancel"));
     x2v_guard::clear_ambient();
     assert!(
         matches!(res, Err(GuardError::Cancelled { .. })),
         "got {res:?}"
     );
+    // The pool survives the cancel: the next build completes.
+    let after_cancel = x2v_par::with_threads(4, || gram_resumable(&kernel, &graphs, "par-faults"))
+        .expect("pool must survive a cancelled build");
+    assert_eq!(after_cancel.as_slice(), after.as_slice());
 
     // ---- The obs registry survived all of it: the report renders, the
     // fault fired twice, and the pool counters moved.
