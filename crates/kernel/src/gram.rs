@@ -72,7 +72,8 @@ fn gram_fingerprint(graphs: &[Graph]) -> u32 {
 /// # Errors
 /// [`GuardError::BudgetExhausted`] / [`GuardError::Cancelled`] from the
 /// ambient budget; [`GuardError::WorkerPanic`] if a parallel row
-/// evaluation panics.
+/// evaluation panics. A panic in the feature pass (whose `x2v-par` calls
+/// are infallible sites) propagates as a panic.
 pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
     kernel: &K,
     graphs: &[Graph],
@@ -82,10 +83,7 @@ pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
     let n = graphs.len();
     x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
     let shape = gram_fingerprint(graphs);
-    // A one-item fallible job: a panic in the feature pass surfaces as the
-    // typed `WorkerPanic`, like a panic in a row.
-    let features = x2v_par::try_map_items(1, 1, |_| Ok(kernel.feature_gram(graphs)))?;
-    let Some(features) = features.into_iter().flatten().next() else {
+    let Some(features) = kernel.feature_gram(graphs) else {
         return build_rows_resumable(n, shape, job, |i, j| kernel.eval(&graphs[i], &graphs[j]));
     };
     let mut c = Crc32::new();
@@ -148,11 +146,7 @@ where
                 Some((ck_fingerprint, rows_done, entries))
                     if ck_fingerprint == fingerprint && rows_done <= n =>
                 {
-                    for i in 0..n {
-                        for j in 0..n {
-                            m[(i, j)] = entries[i * n + j];
-                        }
-                    }
+                    m = Matrix::from_flat(n, n, entries);
                     start_row = rows_done;
                     x2v_ckpt::note_resumed();
                 }
@@ -164,8 +158,7 @@ where
     let save_rows = |store: &x2v_ckpt::Store, m: &Matrix, rows_done: usize| {
         let mut e = Enc::new();
         e.u32(fingerprint).u64(n as u64).u64(rows_done as u64);
-        let entries: Vec<f64> = (0..n).flat_map(|i| m.row(i).to_vec()).collect();
-        e.f64_slice(&entries);
+        e.f64_slice(m.as_slice());
         if let Err(err) = store.save(job, CKPT_KIND, &e.finish()) {
             x2v_obs::counter_add("ckpt/save_failed", 1);
             eprintln!("[x2v-kernel] checkpoint save failed for job {job:?}: {err}");
@@ -235,7 +228,7 @@ where
 
 /// Writes upper-triangle rows into the symmetric `m`: `rows[k]` holds the
 /// entries `i..n` of row `i = first + k`.
-fn fill_upper(m: &mut Matrix, first: usize, rows: Vec<Vec<f64>>) {
+pub(crate) fn fill_upper(m: &mut Matrix, first: usize, rows: Vec<Vec<f64>>) {
     for (k, row) in rows.into_iter().enumerate() {
         let i = first + k;
         for (off, v) in row.into_iter().enumerate() {
@@ -243,16 +236,6 @@ fn fill_upper(m: &mut Matrix, first: usize, rows: Vec<Vec<f64>>) {
             m[(i + off, i)] = v;
         }
     }
-}
-
-/// The symmetric `n × n` matrix of `entry(i, j)`, rows fanned out over
-/// `x2v-par` — an infallible site, so a worker panic re-panics. For the
-/// batch `gram` of kernels whose entries come from one shared pass.
-pub(crate) fn par_symmetric(n: usize, entry: impl Fn(usize, usize) -> f64 + Sync) -> Matrix {
-    let rows = x2v_par::map_items(n, 1, |i| (i..n).map(|j| entry(i, j)).collect::<Vec<f64>>());
-    let mut m = Matrix::zeros(n, n);
-    fill_upper(&mut m, 0, rows);
-    m
 }
 
 /// Decodes a `gram-rows` payload into `(fingerprint, rows_done, entries)`,

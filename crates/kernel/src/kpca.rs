@@ -64,8 +64,14 @@ mod tests {
     use super::*;
 
     fn gram_of(points: &[Vec<f64>]) -> Matrix {
-        let dot = |i: usize, j: usize| x2v_linalg::vector::dot(&points[i], &points[j]);
-        crate::gram::par_symmetric(points.len(), dot)
+        let n = points.len();
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                m[(i, j)] = x2v_linalg::vector::dot(&points[i], &points[j]);
+            }
+        }
+        m
     }
 
     #[test]

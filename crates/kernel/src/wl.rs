@@ -71,14 +71,6 @@ impl WlSubtreeKernel {
             }
         }
     }
-
-    fn dot(&self, a: &WlFeatureVector, b: &WlFeatureVector) -> f64 {
-        if self.discounted {
-            a.discounted_dot(b)
-        } else {
-            a.dot(b)
-        }
-    }
 }
 
 impl GraphKernel for WlSubtreeKernel {
@@ -86,7 +78,11 @@ impl GraphKernel for WlSubtreeKernel {
         let mut r = Refiner::new();
         let fg = WlFeatureVector::compute(&mut r, g, self.rounds);
         let fh = WlFeatureVector::compute(&mut r, h, self.rounds);
-        self.dot(&fg, &fh)
+        if self.discounted {
+            fg.discounted_dot(&fh)
+        } else {
+            fg.dot(&fh)
+        }
     }
 
     fn feature_gram(&self, graphs: &[Graph]) -> Option<FeatureGram> {
@@ -100,7 +96,13 @@ impl GraphKernel for WlSubtreeKernel {
         let _timer = x2v_obs::span("kernel/gram");
         let n = graphs.len();
         x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
-        crate::gram::par_symmetric(n, self.sparse_entries(graphs))
+        // One feature pass, then the O(n²) sparse dots fanned out over
+        // parallel row chunks (an infallible site: a worker panic re-panics).
+        let entry = self.sparse_entries(graphs);
+        let rows = x2v_par::map_items(n, 1, |i| (i..n).map(|j| entry(i, j)).collect::<Vec<f64>>());
+        let mut m = Matrix::zeros(n, n);
+        crate::gram::fill_upper(&mut m, 0, rows);
+        m
     }
 }
 

@@ -60,7 +60,21 @@ impl GraphKernel for Wl2Kernel {
             .iter()
             .map(|g| r.run_rounds(g, self.rounds).histogram())
             .collect();
-        crate::gram::par_symmetric(graphs.len(), |i, j| hist_dot(&hists[i], &hists[j]))
+        let n = graphs.len();
+        let rows = x2v_par::map_items(n, 1, |i| {
+            (i..n)
+                .map(|j| hist_dot(&hists[i], &hists[j]))
+                .collect::<Vec<f64>>()
+        });
+        let mut m = Matrix::zeros(n, n);
+        for (i, row) in rows.into_iter().enumerate() {
+            for (off, v) in row.into_iter().enumerate() {
+                let j = i + off;
+                m[(i, j)] = v;
+                m[(j, i)] = v;
+            }
+        }
+        m
     }
 }
 

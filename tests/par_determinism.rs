@@ -21,7 +21,7 @@ use x2v_embed::word2vec::{SgnsConfig, Word2Vec};
 use x2v_graph::generators::gnp;
 use x2v_graph::Graph;
 use x2v_guard::{Budget, GuardError};
-use x2v_kernel::gram::gram_resumable;
+use x2v_kernel::gram::{gram_resumable, PairwiseOnly};
 use x2v_kernel::wl::WlSubtreeKernel;
 use x2v_wl::Refiner;
 
@@ -148,41 +148,52 @@ fn outputs_are_bit_identical_across_thread_counts() {
 
     // ---- Work-limit trip: the pre-charged cut must land on the same row
     // (same work_done, same persisted rows) at every thread count, and the
-    // resumed run must finish to the same bits as an uninterrupted one.
-    let resumable_1 = x2v_par::with_threads(1, || {
-        gram_resumable(&kernel, &graphs, "par-det").expect("uninterrupted gram")
-    });
-    // Row i pre-charges n − i units; pick a limit that trips mid-matrix.
-    let n = graphs.len() as u64;
-    let limit = 2 * n; // rows 0 and 1 fit (n + n−1 ≤ 2n), row 2 trips
-    let mut tripped_work: Option<u64> = None;
-    for t in THREADS {
-        let dir = tmpdir(&format!("gram-{t}"));
-        x2v_ckpt::install_ambient(Store::open(&dir).expect("open store"));
-        x2v_guard::install_ambient(Budget::unlimited().with_work_limit(limit));
-        let err = x2v_par::with_threads(t, || gram_resumable(&kernel, &graphs, "par-det"))
-            .expect_err("the work limit must interrupt the build");
-        x2v_guard::clear_ambient();
-        match &err {
-            GuardError::BudgetExhausted { work_done, .. } => match tripped_work {
-                None => tripped_work = Some(*work_done),
-                Some(w) => assert_eq!(w, *work_done, "trip point moved, threads={t}"),
-            },
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        // Resume to completion; the final matrix must not depend on the
-        // interrupt, the resume, or the thread count.
-        x2v_ckpt::set_resume(true);
-        let resumed = x2v_par::with_threads(t, || gram_resumable(&kernel, &graphs, "par-det"))
-            .expect("resumed gram");
-        x2v_ckpt::set_resume(false);
-        x2v_ckpt::clear_ambient();
+    // resumed run must finish to the same bits as an uninterrupted one — on
+    // the feature path and on the per-pair path alike.
+    let pairwise = PairwiseOnly(kernel);
+    let paths: [(&str, &(dyn GraphKernel + Sync)); 2] =
+        [("feature", &kernel), ("pairwise", &pairwise)];
+    for (path, k) in paths {
+        let resumable_1 = x2v_par::with_threads(1, || {
+            gram_resumable(k, &graphs, "par-det").expect("uninterrupted gram")
+        });
         assert_eq!(
+            bits(gram_1.as_slice()),
             bits(resumable_1.as_slice()),
-            bits(resumed.as_slice()),
-            "resumed gram, threads={t}"
+            "{path} gram_resumable vs batch gram"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        // Row i pre-charges n − i units; pick a limit that trips mid-matrix.
+        let n = graphs.len() as u64;
+        let limit = 2 * n; // rows 0 and 1 fit (n + n−1 ≤ 2n), row 2 trips
+        let mut tripped_work: Option<u64> = None;
+        for t in THREADS {
+            let dir = tmpdir(&format!("gram-{path}-{t}"));
+            x2v_ckpt::install_ambient(Store::open(&dir).expect("open store"));
+            x2v_guard::install_ambient(Budget::unlimited().with_work_limit(limit));
+            let err = x2v_par::with_threads(t, || gram_resumable(k, &graphs, "par-det"))
+                .expect_err("the work limit must interrupt the build");
+            x2v_guard::clear_ambient();
+            match &err {
+                GuardError::BudgetExhausted { work_done, .. } => match tripped_work {
+                    None => tripped_work = Some(*work_done),
+                    Some(w) => assert_eq!(w, *work_done, "{path} trip point moved, threads={t}"),
+                },
+                other => panic!("expected BudgetExhausted, got {other:?}"),
+            }
+            // Resume to completion; the final matrix must not depend on the
+            // interrupt, the resume, or the thread count.
+            x2v_ckpt::set_resume(true);
+            let resumed = x2v_par::with_threads(t, || gram_resumable(k, &graphs, "par-det"))
+                .expect("resumed gram");
+            x2v_ckpt::set_resume(false);
+            x2v_ckpt::clear_ambient();
+            assert_eq!(
+                bits(resumable_1.as_slice()),
+                bits(resumed.as_slice()),
+                "{path} resumed gram, threads={t}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     // ---- Mid-epoch interrupt + resume for word2vec: a budget-tripped run

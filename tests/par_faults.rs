@@ -21,7 +21,7 @@ use x2v_datasets::synthetic::cycles_vs_trees;
 use x2v_graph::generators::gnp;
 use x2v_graph::Graph;
 use x2v_guard::{faults, Budget, CancelToken, GuardError};
-use x2v_kernel::gram::gram_resumable;
+use x2v_kernel::gram::{gram_resumable, PairwiseOnly};
 use x2v_kernel::wl::WlSubtreeKernel;
 
 use rand::rngs::StdRng;
@@ -80,10 +80,26 @@ fn worker_panics_are_contained_and_cancel_reaches_workers() {
     let clean = x2v_par::with_threads(4, || kernel.gram(&graphs));
 
     // ---- Fallible call site: the armed worker panic surfaces as the
-    // typed error, naming the site and carrying the panic message.
+    // typed error, naming the site and carrying the panic message. The
+    // per-pair path runs no parallel job before its first row block (the
+    // feature path's extraction pass would meet the one-shot fault first,
+    // at an infallible site — the case drilled further down).
+    let pairwise = PairwiseOnly(kernel);
+    let pool_jobs = || {
+        let report = x2v_obs::report("par-faults");
+        report.spans.get("par/job").map_or(0, |s| s.calls)
+    };
+    let jobs_before = pool_jobs();
     faults::inject_panic(x2v_par::WORKER_SITE, 1);
-    let err = x2v_par::with_threads(4, || gram_resumable(&kernel, &graphs, "par-faults"))
+    let err = x2v_par::with_threads(4, || gram_resumable(&pairwise, &graphs, "par-faults"))
         .expect_err("armed worker panic must fail the build");
+    // The fault fired inside the first row block's pool job (not on an
+    // inline path), and that job was the build's last.
+    assert_eq!(
+        pool_jobs(),
+        jobs_before + 1,
+        "the panic must hit a pool job"
+    );
     match &err {
         GuardError::WorkerPanic { site, detail, .. } => {
             assert_eq!(*site, x2v_par::WORKER_SITE);
