@@ -3,7 +3,7 @@
 use x2v_core::{FeatureGram, GraphKernel};
 use x2v_graph::Graph;
 use x2v_linalg::Matrix;
-use x2v_wl::features::{dataset_sparse_features, WlFeatureVector};
+use x2v_wl::features::{dataset_sparse_features, SparseWlFeatures};
 use x2v_wl::Refiner;
 
 /// The t-round WL subtree kernel
@@ -55,34 +55,32 @@ impl WlSubtreeKernel {
         self.discounted
     }
 
+    /// The kernel value from two feature vectors: a sorted merge-join dot,
+    /// weighted per round when discounted.
+    fn dot(&self, a: &SparseWlFeatures, b: &SparseWlFeatures) -> f64 {
+        if self.discounted {
+            a.discounted_dot(b)
+        } else {
+            a.dot(b)
+        }
+    }
+
     /// The Gram entries over `graphs` from one refinement pass through a
-    /// shared interner; each entry is a sparse merge-join dot. Bit-identical
-    /// to [`GraphKernel::eval`]: per-round sums of count products are
-    /// integers (exact in `f64` in any order) and both paths combine rounds
-    /// in ascending order.
+    /// shared interner. Bit-identical to [`GraphKernel::eval`], which runs
+    /// the same dot on a fresh interner's features.
     fn sparse_entries(&self, graphs: &[Graph]) -> impl Fn(usize, usize) -> f64 + Send + Sync {
         let feats = dataset_sparse_features(graphs, self.rounds);
-        let discounted = self.discounted;
-        move |i, j| {
-            if discounted {
-                feats[i].discounted_dot(&feats[j])
-            } else {
-                feats[i].dot(&feats[j])
-            }
-        }
+        let kernel = *self;
+        move |i, j| kernel.dot(&feats[i], &feats[j])
     }
 }
 
 impl GraphKernel for WlSubtreeKernel {
     fn eval(&self, g: &Graph, h: &Graph) -> f64 {
         let mut r = Refiner::new();
-        let fg = WlFeatureVector::compute(&mut r, g, self.rounds);
-        let fh = WlFeatureVector::compute(&mut r, h, self.rounds);
-        if self.discounted {
-            fg.discounted_dot(&fh)
-        } else {
-            fg.dot(&fh)
-        }
+        let fg = SparseWlFeatures::compute(&mut r, g, self.rounds);
+        let fh = SparseWlFeatures::compute(&mut r, h, self.rounds);
+        self.dot(&fg, &fh)
     }
 
     fn feature_gram(&self, graphs: &[Graph]) -> Option<FeatureGram> {

@@ -5,93 +5,12 @@
 //! histogram `c ↦ wl(c, G)`. The t-round WL kernel is
 //! `K(G, H) = Σ_{i≤t} Σ_c wl(c,G)·wl(c,H)` — a sparse dot product when both
 //! graphs were refined through a shared interner — and the discounted
-//! variant weights round `i` by `2^{-i}`.
+//! variant weights round `i` by `2^{-i}`. [`SparseWlFeatures`] is the one
+//! representation of that map: the kernel, graph2vec and the WL subtree
+//! embedding all read its sorted per-round slices.
 
-use crate::interner::Colour;
 use crate::refine::Refiner;
-use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
-
-/// Per-round sparse colour histograms of one graph.
-#[derive(Clone, Debug)]
-pub struct WlFeatureVector {
-    /// `rounds[i]` maps colour → `wl(c, G)` at round `i`.
-    pub rounds: Vec<FxHashMap<Colour, u64>>,
-}
-
-impl WlFeatureVector {
-    /// Computes the feature vector of `g` with `t` refinement rounds through
-    /// the given refiner. Using one refiner for a whole dataset makes all
-    /// vectors live in the same feature space.
-    pub fn compute(refiner: &mut Refiner, g: &Graph, t: usize) -> Self {
-        let _timer = x2v_obs::span("wl/feature_vector");
-        let history = refiner.refine_rounds(g, t);
-        let rounds = (0..=t).map(|i| history.histogram(i)).collect();
-        WlFeatureVector { rounds }
-    }
-
-    /// Number of rounds stored (including round 0).
-    pub fn num_rounds(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Total number of non-zero features.
-    pub fn nnz(&self) -> usize {
-        self.rounds.iter().map(FxHashMap::len).sum()
-    }
-
-    /// The t-round WL kernel value `Σ_i Σ_c wl(c,G)·wl(c,H)`.
-    pub fn dot(&self, other: &WlFeatureVector) -> f64 {
-        self.weighted_dot(other, |_| 1.0)
-    }
-
-    /// The discounted kernel `K_WL = Σ_i 2^{-i} Σ_c wl(c,G)·wl(c,H)`.
-    pub fn discounted_dot(&self, other: &WlFeatureVector) -> f64 {
-        self.weighted_dot(other, |i| 0.5f64.powi(i as i32))
-    }
-
-    /// Generic per-round weighting.
-    pub fn weighted_dot<W: Fn(usize) -> f64>(&self, other: &WlFeatureVector, w: W) -> f64 {
-        let rounds = self.rounds.len().min(other.rounds.len());
-        let mut total = 0.0;
-        for i in 0..rounds {
-            let (small, large) = if self.rounds[i].len() <= other.rounds[i].len() {
-                (&self.rounds[i], &other.rounds[i])
-            } else {
-                (&other.rounds[i], &self.rounds[i])
-            };
-            let mut round_sum = 0.0;
-            for (c, &a) in small {
-                if let Some(&b) = large.get(c) {
-                    round_sum += a as f64 * b as f64;
-                }
-            }
-            total += w(i) * round_sum;
-        }
-        total
-    }
-
-    /// Flattens into an explicit sparse vector of `(round, colour, count)`.
-    pub fn to_sparse(&self) -> Vec<(usize, Colour, u64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for (i, hist) in self.rounds.iter().enumerate() {
-            for (&c, &n) in hist {
-                out.push((i, c, n));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
-/// Computes feature vectors for a whole dataset through one shared refiner.
-pub fn dataset_features(graphs: &[Graph], t: usize) -> Vec<WlFeatureVector> {
-    let mut refiner = Refiner::new();
-    graphs
-        .iter()
-        .map(|g| WlFeatureVector::compute(&mut refiner, g, t))
-        .collect()
-}
 
 /// Per-round colour histograms in a flat sorted-CSR layout: three dense
 /// arrays instead of one hash map per round.
@@ -104,12 +23,13 @@ pub fn dataset_features(graphs: &[Graph], t: usize) -> Vec<WlFeatureVector> {
 ///
 /// ## Bit-exactness
 ///
-/// [`SparseWlFeatures::weighted_dot`] is bit-identical to
-/// [`WlFeatureVector::weighted_dot`] even though the two accumulate each
-/// round in different orders: per-round sums of products of node counts are
-/// integer-valued, and integer-valued `f64` arithmetic below `2^53` is
-/// exact in *any* summation order. Both paths then combine the per-round
-/// sums in ascending round order, so the final bits agree too.
+/// [`SparseWlFeatures::weighted_dot`] is bit-identical to a hash-probe dot
+/// over the per-round [`crate::WlHistory::histogram`] maps (the test oracle
+/// in this module) even though the two accumulate each round in different
+/// orders: per-round sums of products of node counts are integer-valued,
+/// and integer-valued `f64` arithmetic below `2^53` is exact in *any*
+/// summation order. Both then combine the per-round sums in ascending round
+/// order, so the final bits agree too.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SparseWlFeatures {
     round_offsets: Vec<usize>,
@@ -149,27 +69,6 @@ impl SparseWlFeatures {
                 }
                 f.keys.push(key);
                 f.counts.push(count);
-            }
-            f.round_offsets.push(f.keys.len());
-        }
-        f
-    }
-
-    /// Converts a hash-map feature vector into the flat layout (same
-    /// feature space, so dots agree bit-for-bit; see the type docs).
-    pub fn from_feature_vector(v: &WlFeatureVector) -> Self {
-        let mut f = SparseWlFeatures {
-            round_offsets: Vec::with_capacity(v.rounds.len() + 1),
-            keys: Vec::new(),
-            counts: Vec::new(),
-        };
-        f.round_offsets.push(0);
-        for hist in &v.rounds {
-            let mut entries: Vec<(u64, u64)> = hist.iter().map(|(&c, &n)| (c, n)).collect();
-            entries.sort_unstable();
-            for (c, n) in entries {
-                f.keys.push(c);
-                f.counts.push(n);
             }
             f.round_offsets.push(f.keys.len());
         }
@@ -238,18 +137,6 @@ impl SparseWlFeatures {
         }
         total
     }
-
-    /// Flattens into `(round, colour, count)` triples, sorted.
-    pub fn to_sparse(&self) -> Vec<(usize, Colour, u64)> {
-        let mut out = Vec::with_capacity(self.nnz());
-        for i in 0..self.num_rounds() {
-            let (keys, counts) = self.round(i);
-            for (&c, &n) in keys.iter().zip(counts) {
-                out.push((i, c, n));
-            }
-        }
-        out
-    }
 }
 
 /// Computes sparse feature vectors for a whole dataset through one shared
@@ -282,34 +169,52 @@ pub fn dataset_sparse_features_hashed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WlHistory;
     use x2v_graph::generators::{cycle, path, star};
     use x2v_graph::ops::{disjoint_union, permute};
+
+    /// Test oracle for the merge-join dot: per-round hash maps from
+    /// [`WlHistory::histogram`], probed from one side.
+    fn hash_probe_dot(a: &WlHistory, b: &WlHistory, t: usize, w: impl Fn(usize) -> f64) -> f64 {
+        let mut total = 0.0;
+        for i in 0..=t {
+            let (ha, hb) = (a.histogram(i), b.histogram(i));
+            let mut round_sum = 0.0;
+            for (c, &x) in &ha {
+                if let Some(&y) = hb.get(c) {
+                    round_sum += x as f64 * y as f64;
+                }
+            }
+            total += w(i) * round_sum;
+        }
+        total
+    }
 
     #[test]
     fn self_dot_counts_squares() {
         let mut r = Refiner::new();
         // P2 at round 0: one colour with count 2 → dot = 4; round 1: one
         // colour count 2 → total 8.
-        let f = WlFeatureVector::compute(&mut r, &path(2), 1);
+        let f = SparseWlFeatures::compute(&mut r, &path(2), 1);
         assert_eq!(f.dot(&f), 8.0);
     }
 
     #[test]
     fn isomorphic_graphs_same_features() {
-        let fs = dataset_features(&[cycle(5), permute(&cycle(5), &[3, 1, 4, 0, 2])], 3);
-        assert_eq!(fs[0].to_sparse(), fs[1].to_sparse());
+        let fs = dataset_sparse_features(&[cycle(5), permute(&cycle(5), &[3, 1, 4, 0, 2])], 3);
+        assert_eq!(fs[0], fs[1]);
         assert_eq!(fs[0].dot(&fs[1]), fs[0].dot(&fs[0]));
     }
 
     #[test]
     fn wl_equivalent_graphs_identical_vectors() {
-        let fs = dataset_features(&[cycle(6), disjoint_union(&cycle(3), &cycle(3))], 4);
-        assert_eq!(fs[0].to_sparse(), fs[1].to_sparse());
+        let fs = dataset_sparse_features(&[cycle(6), disjoint_union(&cycle(3), &cycle(3))], 4);
+        assert_eq!(fs[0], fs[1]);
     }
 
     #[test]
     fn different_graphs_lower_cross_kernel() {
-        let fs = dataset_features(&[path(4), star(3)], 2);
+        let fs = dataset_sparse_features(&[path(4), star(3)], 2);
         let cross = fs[0].dot(&fs[1]);
         let self0 = fs[0].dot(&fs[0]);
         let self1 = fs[1].dot(&fs[1]);
@@ -319,7 +224,7 @@ mod tests {
 
     #[test]
     fn discounting_reduces_later_rounds() {
-        let fs = dataset_features(&[cycle(4)], 3);
+        let fs = dataset_sparse_features(&[cycle(4)], 3);
         let f = &fs[0];
         // Regular graph: each round has a single colour of count 4, so
         // plain dot = 16 * 4 rounds, discounted = 16 * (1 + 1/2 + 1/4 + 1/8).
@@ -328,37 +233,47 @@ mod tests {
     }
 
     #[test]
-    fn nnz_and_sparse_roundtrip() {
-        let fs = dataset_features(&[path(4)], 2);
+    fn nnz_counts_round_slices() {
+        let fs = dataset_sparse_features(&[path(4)], 2);
         let f = &fs[0];
-        assert_eq!(f.nnz(), f.to_sparse().len());
+        let per_round: usize = (0..f.num_rounds()).map(|i| f.round(i).0.len()).sum();
+        assert_eq!(f.nnz(), per_round);
         // P4 round 0: 1 colour; round 1: 2 colours; round 2: 2 colours.
         assert_eq!(f.nnz(), 5);
     }
 
     #[test]
-    fn sparse_features_match_hashmap_features_bitwise() {
+    fn merge_join_dot_bit_equals_hash_probe_oracle() {
         let graphs = [
             path(5),
             cycle(6),
             star(4),
             disjoint_union(&path(3), &cycle(4)),
         ];
-        let hv = dataset_features(&graphs, 3);
-        let sv = dataset_sparse_features(&graphs, 3);
-        for (h, s) in hv.iter().zip(&sv) {
-            assert_eq!(h.to_sparse(), s.to_sparse());
-            assert_eq!(&SparseWlFeatures::from_feature_vector(h), s);
+        let t = 3;
+        let mut refiner = Refiner::new();
+        let hists: Vec<WlHistory> = graphs.iter().map(|g| refiner.refine_rounds(g, t)).collect();
+        let sv = dataset_sparse_features(&graphs, t);
+        for (h, s) in hists.iter().zip(&sv) {
+            for i in 0..=t {
+                let (keys, counts) = s.round(i);
+                let mut hist: Vec<(u64, u64)> = h.histogram(i).into_iter().collect();
+                hist.sort_unstable();
+                let slices: Vec<(u64, u64)> =
+                    keys.iter().copied().zip(counts.iter().copied()).collect();
+                assert_eq!(slices, hist, "round {i} slices");
+            }
         }
         for i in 0..graphs.len() {
             for j in 0..graphs.len() {
+                let (a, b) = (&hists[i], &hists[j]);
                 assert_eq!(
-                    hv[i].dot(&hv[j]).to_bits(),
+                    hash_probe_dot(a, b, t, |_| 1.0).to_bits(),
                     sv[i].dot(&sv[j]).to_bits(),
                     "plain dot ({i},{j})"
                 );
                 assert_eq!(
-                    hv[i].discounted_dot(&hv[j]).to_bits(),
+                    hash_probe_dot(a, b, t, |r| 0.5f64.powi(r as i32)).to_bits(),
                     sv[i].discounted_dot(&sv[j]).to_bits(),
                     "discounted dot ({i},{j})"
                 );

@@ -42,6 +42,7 @@
 //! collisions at tiny widths and exercise the detection path
 //! deterministically.
 
+use crate::refine::{count_distinct, histogram_of};
 use x2v_graph::csr::CsrView;
 use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
@@ -142,19 +143,12 @@ impl HashWlHistory {
 
     /// Sparse colour histogram at round `t`.
     pub fn histogram(&self, t: usize) -> FxHashMap<u64, u64> {
-        let mut h = FxHashMap::default();
-        for &c in self.at_round(t) {
-            *h.entry(c).or_insert(0) += 1;
-        }
-        h
+        histogram_of(self.at_round(t))
     }
 
     /// Number of colour classes at round `t`.
     pub fn num_classes(&self, t: usize) -> usize {
-        let mut v = self.at_round(t).to_vec();
-        v.sort_unstable();
-        v.dedup();
-        v.len()
+        count_distinct(self.at_round(t))
     }
 }
 
@@ -277,13 +271,6 @@ fn detect_cross_class_merges<F: Fn(usize) -> u64>(prev_of: F, next: &[u64]) -> u
         }
     }
     merges
-}
-
-fn count_distinct(colours: &[u64]) -> usize {
-    let mut v = colours.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! (CFI pairs, circulants) the paper uses to separate the hierarchy.
 
 use crate::interner::{Colour, ColourInterner};
+use crate::refine::{count_distinct, histogram_of, joint_distinct};
 use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
 use x2v_guard::{Budget, GuardError, Meter};
@@ -47,11 +48,7 @@ impl KwlColouring {
 
     /// Sparse histogram of tuple colours.
     pub fn histogram(&self) -> FxHashMap<Colour, u64> {
-        let mut h = FxHashMap::default();
-        for &c in &self.colours {
-            *h.entry(c).or_insert(0) += 1;
-        }
-        h
+        histogram_of(&self.colours)
     }
 }
 
@@ -209,14 +206,14 @@ impl KwlRefiner {
         let mut meter = budget.meter(SITE);
         let mut colours = self.atomic_colours(g, &mut meter)?;
         x2v_obs::counter_add("wl/kwl_tuples", colours.len() as u64);
-        let mut classes = distinct(&colours);
+        let mut classes = count_distinct(&colours);
         let mut rounds = 0;
         loop {
             // Deadline/cancel poll at round granularity: rounds are the
             // coarse unit of progress, and n^k ticks may be sparse checks.
             meter.checkpoint()?;
             let next = self.refine_once(n, &colours, &mut meter)?;
-            let next_classes = distinct(&next);
+            let next_classes = count_distinct(&next);
             colours = next;
             if next_classes == classes {
                 break;
@@ -308,28 +305,6 @@ impl KwlRefiner {
         }
         Ok(histogram_of(&cg) != histogram_of(&ch))
     }
-}
-
-fn distinct(colours: &[Colour]) -> usize {
-    let mut v = colours.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
-}
-
-fn joint_distinct(a: &[Colour], b: &[Colour]) -> usize {
-    let mut v: Vec<Colour> = a.iter().chain(b).copied().collect();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
-}
-
-fn histogram_of(colours: &[Colour]) -> FxHashMap<Colour, u64> {
-    let mut h = FxHashMap::default();
-    for &c in colours {
-        *h.entry(c).or_insert(0) += 1;
-    }
-    h
 }
 
 #[cfg(test)]

@@ -13,10 +13,9 @@
 //!   indistinguishability over treewidth ≤ k (Theorem 4.4);
 //! * [`unfold`] — colours as rooted unfolding trees (Figure 5) and the
 //!   `wl(c, G)` counts of Section 3.5;
-//! * [`features`] — sparse per-round colour histograms, the explicit feature
-//!   map of the WL subtree kernel, including the flat sorted-CSR
-//!   [`features::SparseWlFeatures`] whose merge-join dot powers the
-//!   single-pass Gram builder in `x2v-kernel`;
+//! * [`features`] — the explicit feature map of the WL subtree kernel as one
+//!   type, [`features::SparseWlFeatures`]: per-round colour histograms in a
+//!   flat sorted-CSR layout whose merge-join dot is the kernel value;
 //! * [`hashwl`] — hash-based colouring: colours as seeded 64-bit hash
 //!   invariants over the CSR adjacency, with no interner and no per-node
 //!   allocations, plus cross-class collision detection

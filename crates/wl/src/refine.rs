@@ -45,27 +45,25 @@ impl WlHistory {
 
     /// Sparse colour histogram at round `t`.
     pub fn histogram(&self, t: usize) -> FxHashMap<Colour, u64> {
-        let mut h = FxHashMap::default();
-        for &c in self.at_round(t) {
-            *h.entry(c).or_insert(0) += 1;
-        }
-        h
+        histogram_of(self.at_round(t))
     }
 
     /// Number of colour classes at round `t`.
     pub fn num_classes(&self, t: usize) -> usize {
-        self.histogram(t).len()
+        count_distinct(self.at_round(t))
     }
 }
 
-fn count_distinct(colours: &[Colour]) -> usize {
+/// Number of distinct colours in a slice.
+pub(crate) fn count_distinct(colours: &[Colour]) -> usize {
     let mut v: Vec<Colour> = colours.to_vec();
     v.sort_unstable();
     v.dedup();
     v.len()
 }
 
-fn joint_distinct(a: &[Colour], b: &[Colour]) -> usize {
+/// Number of distinct colours across two slices.
+pub(crate) fn joint_distinct(a: &[Colour], b: &[Colour]) -> usize {
     let mut v: Vec<Colour> = a.iter().chain(b).copied().collect();
     v.sort_unstable();
     v.dedup();

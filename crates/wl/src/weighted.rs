@@ -9,7 +9,7 @@
 //! identical sums and interning is exact.
 
 use crate::interner::{Colour, ColourInterner};
-use crate::refine::WlHistory;
+use crate::refine::{count_distinct, histogram_of, joint_distinct, WlHistory};
 use x2v_graph::WeightedGraph;
 
 const TAG_INIT: u64 = 10;
@@ -76,10 +76,10 @@ impl WeightedRefiner {
     pub fn refine_rounds(&mut self, g: &WeightedGraph, rounds: usize) -> WlHistory {
         let mut history = vec![self.initial(g.labels())];
         let mut stable_round = None;
-        let mut prev_classes = distinct(&history[0]);
+        let mut prev_classes = count_distinct(&history[0]);
         for t in 0..rounds {
             let next = self.refine_once(g, &history[t]);
-            let classes = distinct(&next);
+            let classes = count_distinct(&next);
             if stable_round.is_none() && classes == prev_classes {
                 stable_round = Some(t);
             }
@@ -96,10 +96,10 @@ impl WeightedRefiner {
     pub fn refine_to_stable(&mut self, g: &WeightedGraph) -> WlHistory {
         let n = g.order();
         let mut history = vec![self.initial(g.labels())];
-        let mut prev_classes = distinct(&history[0]);
+        let mut prev_classes = count_distinct(&history[0]);
         for t in 0..=n {
             let next = self.refine_once(g, &history[t]);
-            let classes = distinct(&next);
+            let classes = count_distinct(&next);
             history.push(next);
             if classes == prev_classes {
                 return WlHistory {
@@ -142,22 +142,8 @@ impl WeightedRefiner {
             return true;
         }
         let (cg, ch) = self.joint_stable_colours(g, h);
-        crate::refine::histogram_of(&cg) != crate::refine::histogram_of(&ch)
+        histogram_of(&cg) != histogram_of(&ch)
     }
-}
-
-fn distinct(colours: &[Colour]) -> usize {
-    let mut v = colours.to_vec();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
-}
-
-fn joint_distinct(a: &[Colour], b: &[Colour]) -> usize {
-    let mut v: Vec<Colour> = a.iter().chain(b).copied().collect();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
 }
 
 #[cfg(test)]

@@ -3,8 +3,10 @@
 //! ([`PairwiseOnly`]: one `eval`, i.e. two fresh refinements, per entry)
 //! in the default `cargo test`: bit-equal matrices at 1, 2 and 8 threads
 //! for the plain and the discounted kernel, and budget trips at the same
-//! row. The ambient budget is process-global, so the whole scenario runs
-//! inside ONE `#[test]`.
+//! row. Both paths share the merge-join dot, so the oracle's entries are
+//! in turn checked against an independent hash-probe dot over
+//! `WlHistory::histogram` maps. The ambient budget is process-global, so
+//! the whole scenario runs inside ONE `#[test]`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,6 +17,7 @@ use x2v_graph::Graph;
 use x2v_guard::{Budget, GuardError};
 use x2v_kernel::gram::{gram_resumable, PairwiseOnly};
 use x2v_kernel::wl::WlSubtreeKernel;
+use x2v_wl::Refiner;
 
 /// Structured cycles-vs-trees graphs plus labelled random G(n, p) graphs.
 fn dataset() -> Vec<Graph> {
@@ -31,6 +34,32 @@ fn dataset() -> Vec<Graph> {
 
 fn bits(k: &x2v_linalg::Matrix) -> Vec<u64> {
     k.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// `kernel.eval(g, h)` recomputed without `SparseWlFeatures`: per-round
+/// hash maps from `WlHistory::histogram`, probed from one side, rounds
+/// combined in ascending order.
+fn hash_probe_eval(kernel: &WlSubtreeKernel, g: &Graph, h: &Graph) -> f64 {
+    let t = kernel.rounds();
+    let mut refiner = Refiner::new();
+    let (a, b) = (refiner.refine_rounds(g, t), refiner.refine_rounds(h, t));
+    let mut total = 0.0;
+    for i in 0..=t {
+        let hb = b.histogram(i);
+        let mut round_sum = 0.0;
+        for (c, &x) in &a.histogram(i) {
+            if let Some(&y) = hb.get(c) {
+                round_sum += x as f64 * y as f64;
+            }
+        }
+        let w = if kernel.is_discounted() {
+            0.5f64.powi(i as i32)
+        } else {
+            1.0
+        };
+        total += w * round_sum;
+    }
+    total
 }
 
 /// The work done when a `limit`-unit budget trips the build.
@@ -57,6 +86,15 @@ fn feature_path_bit_equals_pairwise_oracle() {
         let reference = x2v_par::with_threads(1, || {
             gram_resumable(&oracle, &graphs, "gram-feature-path").unwrap()
         });
+        for (i, g) in graphs.iter().enumerate() {
+            for (j, h) in graphs.iter().enumerate() {
+                assert_eq!(
+                    reference[(i, j)].to_bits(),
+                    hash_probe_eval(&kernel, g, h).to_bits(),
+                    "{what}: eval ({i},{j}) vs hash-probe dot"
+                );
+            }
+        }
         for threads in [1usize, 2, 8] {
             let feat = x2v_par::with_threads(threads, || {
                 gram_resumable(&kernel, &graphs, "gram-feature-path").unwrap()
