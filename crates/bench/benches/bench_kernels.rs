@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use x2v_core::GraphKernel;
 use x2v_graph::generators::gnp;
+use x2v_kernel::gram::gram;
 use x2v_kernel::graphlet::GraphletKernel;
 use x2v_kernel::random_walk::RandomWalkKernel;
 use x2v_kernel::shortest_path::ShortestPathKernel;
@@ -18,16 +18,16 @@ fn bench_kernel_gram(c: &mut Criterion) {
     let mut group = c.benchmark_group("gram_20x20nodes");
     group.sample_size(10);
     group.bench_function("wl_t5", |b| {
-        b.iter(|| black_box(WlSubtreeKernel::new(5).gram(&graphs)))
+        b.iter(|| black_box(gram(&WlSubtreeKernel::new(5), &graphs)))
     });
     group.bench_function("shortest_path", |b| {
-        b.iter(|| black_box(ShortestPathKernel::new().gram(&graphs)))
+        b.iter(|| black_box(gram(&ShortestPathKernel::new(), &graphs)))
     });
     group.bench_function("graphlet34", |b| {
-        b.iter(|| black_box(GraphletKernel::three_four().gram(&graphs)))
+        b.iter(|| black_box(gram(&GraphletKernel::three_four(), &graphs)))
     });
     group.bench_function("random_walk", |b| {
-        b.iter(|| black_box(RandomWalkKernel::new(0.05, 5).gram(&graphs)))
+        b.iter(|| black_box(gram(&RandomWalkKernel::new(0.05, 5), &graphs)))
     });
     group.finish();
 }

@@ -40,14 +40,14 @@ fn bench_kwl_dimension(c: &mut Criterion) {
 }
 
 fn bench_wl_kernel_gram(c: &mut Criterion) {
-    use x2v_core::GraphKernel;
+    use x2v_kernel::gram::gram;
     use x2v_kernel::wl::WlSubtreeKernel;
     let mut rng = StdRng::seed_from_u64(3);
     let graphs: Vec<_> = (0..30).map(|_| gnp(25, 0.2, &mut rng)).collect();
     c.bench_function("wl_t5_gram_30x25nodes", |b| {
         b.iter(|| {
             let k = WlSubtreeKernel::new(5);
-            black_box(k.gram(&graphs))
+            black_box(gram(&k, &graphs))
         })
     });
 }

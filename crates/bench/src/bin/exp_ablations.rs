@@ -7,13 +7,12 @@
 //! 4. multiclass pipeline sanity on a 3-class task.
 
 use x2v_bench::harness::{embedding_cv_accuracy, gram_cv_accuracy, pct, print_header, print_row};
-use x2v_core::GraphKernel;
 use x2v_datasets::synthetic::{standard_suite, three_class};
 use x2v_gnn::higher::HigherOrderGnn;
 use x2v_graph::generators::cycle;
 use x2v_graph::ops::disjoint_union;
 use x2v_hom::vectors::HomBasis;
-use x2v_kernel::gram::normalize;
+use x2v_kernel::gram::{gram, normalize};
 use x2v_kernel::wl::WlSubtreeKernel;
 
 fn main() {
@@ -90,22 +89,17 @@ fn main() {
     let mut row_norm = vec!["WL t=5 normalised".to_string()];
     let mut row_plain = vec!["WL t=5 unnormalised".to_string()];
     for dataset in &suite {
-        let gram = wl.gram(&dataset.graphs);
-        row_norm.push(pct(gram_cv_accuracy(
-            &normalize(&gram),
-            &dataset.labels,
-            5,
-            7,
-        )));
-        row_plain.push(pct(gram_cv_accuracy(&gram, &dataset.labels, 5, 7)));
+        let k = gram(&wl, &dataset.graphs);
+        row_norm.push(pct(gram_cv_accuracy(&normalize(&k), &dataset.labels, 5, 7)));
+        row_plain.push(pct(gram_cv_accuracy(&k, &dataset.labels, 5, 7)));
     }
     print_row(&row_norm, &widths);
     print_row(&row_plain, &widths);
 
     // 4. Multiclass sanity.
     let three = three_class(12, 6, 9);
-    let gram = normalize(&wl.gram(&three.graphs));
-    let acc = gram_cv_accuracy(&gram, &three.labels, 4, 3);
+    let k = normalize(&gram(&wl, &three.graphs));
+    let acc = gram_cv_accuracy(&k, &three.labels, 4, 3);
     println!(
         "\n4. three-class task (cycles / trees / dense), WL t=5 + one-vs-rest SVM: {}",
         pct(acc)

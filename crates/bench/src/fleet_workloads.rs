@@ -372,7 +372,7 @@ mod tests {
     use x2v_datasets::synthetic::cycles_vs_trees;
     use x2v_embed::walks::generate_walks;
     use x2v_graph::generators::cycle;
-    use x2v_kernel::gram::PairwiseOnly;
+    use x2v_kernel::gram::{gram, PairwiseOnly};
 
     fn run_all(w: &dyn Workload) -> Vec<Option<Vec<u8>>> {
         (0..w.num_tasks())
@@ -387,7 +387,7 @@ mod tests {
         let n = w.n_graphs();
         let (merged, missing) = merge_gram(n, w.block(), &run_all(&w)).unwrap();
         assert!(missing.is_empty());
-        let direct = PairwiseOnly(WlSubtreeKernel::new(3)).gram(&data.graphs);
+        let direct = gram(&PairwiseOnly(WlSubtreeKernel::new(3)), &data.graphs);
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(

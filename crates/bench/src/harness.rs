@@ -5,7 +5,7 @@ use x2v_core::GraphKernel;
 use x2v_datasets::metrics::accuracy;
 use x2v_datasets::splits::stratified_folds;
 use x2v_datasets::synthetic::GraphDataset;
-use x2v_kernel::gram::{gram_resumable, normalize, try_normalize};
+use x2v_kernel::gram::{gram, gram_resumable, normalize, try_normalize};
 use x2v_kernel::svm::{MulticlassSvm, SvmConfig};
 use x2v_linalg::Matrix;
 
@@ -21,7 +21,7 @@ pub fn kernel_cv_accuracy(
     let _timer = x2v_obs::span("bench/kernel_cv");
     let gram = {
         let _g = x2v_obs::span("bench/gram");
-        normalize(&kernel.gram(&dataset.graphs))
+        normalize(&gram(kernel, &dataset.graphs))
     };
     gram_cv_accuracy(&gram, &dataset.labels, folds, seed)
 }

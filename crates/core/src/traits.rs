@@ -39,8 +39,8 @@ pub trait NodeEmbedding {
 /// The Gram entries of a kernel with an explicit feature map, computed from
 /// one feature pass over a dataset (see [`GraphKernel::feature_gram`]).
 pub struct FeatureGram {
-    /// The kernel's parameters (e.g. rounds, discounting); Gram builders
-    /// bind them into checkpoint fingerprints.
+    /// The kernel's parameters (e.g. rounds, discounting, basis size); the
+    /// Gram builder binds them into checkpoint fingerprints.
     pub params: Vec<u64>,
     /// `entry(i, j) == eval(&graphs[i], &graphs[j])`, bit for bit.
     pub entry: Box<dyn Fn(usize, usize) -> f64 + Send + Sync>,
@@ -48,30 +48,20 @@ pub struct FeatureGram {
 
 /// A kernel function on graphs (Section 2.4): symmetric and positive
 /// semidefinite, implicitly an inner product of some embedding.
+///
+/// Gram matrices over a dataset come from one builder in `x2v-kernel`
+/// (`x2v_kernel::gram::gram` and its crash-safe twin `gram_resumable`),
+/// which takes [`GraphKernel::feature_gram`] when the kernel has an
+/// explicit feature map and calls [`GraphKernel::eval`] per pair otherwise.
 pub trait GraphKernel {
     /// Evaluates `K(G, H)`.
     fn eval(&self, g: &Graph, h: &Graph) -> f64;
 
     /// The Gram entries over `graphs` from one pass of the kernel's
     /// explicit feature map, or `None` (the default) when the kernel has
-    /// none and Gram builders must call [`GraphKernel::eval`] per pair.
+    /// none and the Gram builder must call [`GraphKernel::eval`] per pair.
     fn feature_gram(&self, _graphs: &[Graph]) -> Option<FeatureGram> {
         None
-    }
-
-    /// The Gram matrix over a dataset (override for shared-state
-    /// efficiency). Row-major, symmetric.
-    fn gram(&self, graphs: &[Graph]) -> x2v_linalg::Matrix {
-        let n = graphs.len();
-        let mut m = x2v_linalg::Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = self.eval(&graphs[i], &graphs[j]);
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
     }
 }
 
@@ -112,8 +102,7 @@ mod tests {
     fn embedding_kernel_is_dot_product() {
         let k = EmbeddingKernel(OrderSize);
         assert_eq!(k.eval(&cycle(4), &path(4)), 16.0 + 12.0);
-        let gram = k.gram(&[cycle(3), path(3)]);
-        assert_eq!(gram[(0, 1)], gram[(1, 0)]);
-        assert_eq!(gram[(0, 0)], 9.0 + 9.0);
+        assert_eq!(k.eval(&cycle(3), &path(3)), k.eval(&path(3), &cycle(3)));
+        assert_eq!(k.eval(&cycle(3), &cycle(3)), 9.0 + 9.0);
     }
 }

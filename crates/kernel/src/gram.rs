@@ -1,9 +1,10 @@
 //! Gram-matrix utilities: centering, cosine normalisation, PSD checks, and
-//! the one Gram builder, [`gram_resumable`]: crash-safe, budget-metered
-//! row-block construction that reads a kernel's explicit feature map
-//! ([`GraphKernel::feature_gram`]) when it has one and calls `eval` per
-//! pair otherwise. [`PairwiseOnly`] hides the feature map, which makes
-//! the per-pair path the oracle for the feature path.
+//! the one Gram builder: budget-metered row-block construction that reads
+//! a kernel's explicit feature map ([`GraphKernel::feature_gram`]) when it
+//! has one and calls `eval` per pair otherwise. [`gram_resumable`] makes
+//! it crash-safe through the ambient checkpoint store; [`gram`] is its
+//! infallible, store-free twin. [`PairwiseOnly`] hides the feature map,
+//! which makes the per-pair path the oracle for the feature path.
 
 use x2v_ckpt::codec::{Dec, Enc};
 use x2v_ckpt::crc32::Crc32;
@@ -43,14 +44,25 @@ fn gram_fingerprint(graphs: &[Graph]) -> u32 {
 /// ([`GraphKernel::feature_gram`], bit-identical by contract), otherwise
 /// from one [`GraphKernel::eval`] per pair.
 ///
-/// With an ambient [`x2v_ckpt::Store`] installed, the partial matrix is
-/// persisted under `job` every [`ROW_BLOCK`] completed outer rows, and —
-/// with [`x2v_ckpt::set_resume`] in effect — construction restarts from
-/// the last completed row instead of from scratch. The fingerprint binds
-/// the dataset shape and, on the feature path, the kernel's parameters, so
-/// another kernel's checkpoint cold-starts instead of merging. Entries are
-/// deterministic, so the resumed matrix is bit-identical to an
-/// uninterrupted build.
+/// [`gram_resumable`] without a checkpoint job: as parallel and as
+/// budget-metered, but it never touches the ambient [`x2v_ckpt::Store`],
+/// so one kernel never resumes another's rows.
+///
+/// # Panics
+/// With the typed diagnostic when the build fails — see
+/// [`gram_resumable`] for the typed-error variant.
+pub fn gram<K: GraphKernel + Sync + ?Sized>(kernel: &K, graphs: &[Graph]) -> Matrix {
+    build_gram(kernel, graphs, None).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`gram`] made crash-safe: with an ambient [`x2v_ckpt::Store`]
+/// installed, the partial matrix is persisted under `job` every
+/// [`ROW_BLOCK`] completed outer rows, and — with [`x2v_ckpt::set_resume`]
+/// in effect — construction restarts from the last completed row instead
+/// of from scratch. The fingerprint binds the dataset shape and, on the
+/// feature path, the kernel's parameters, so another kernel's checkpoint
+/// cold-starts instead of merging. Entries are deterministic, so the
+/// resumed matrix is bit-identical to an uninterrupted build.
 ///
 /// Rows within a block are evaluated in parallel (`x2v-par`); the kernel
 /// must therefore be `Sync`. Determinism survives: the row set of each
@@ -79,12 +91,22 @@ pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
     graphs: &[Graph],
     job: &str,
 ) -> x2v_guard::Result<Matrix> {
+    build_gram(kernel, graphs, Some(job))
+}
+
+/// The body of [`gram`] and [`gram_resumable`]: picks the entry function
+/// and its fingerprint, then runs the row-block core.
+fn build_gram<K: GraphKernel + Sync + ?Sized>(
+    kernel: &K,
+    graphs: &[Graph],
+    job: Option<&str>,
+) -> x2v_guard::Result<Matrix> {
     let _timer = x2v_obs::span("kernel/gram_build");
     let n = graphs.len();
     x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
     let shape = gram_fingerprint(graphs);
     let Some(features) = kernel.feature_gram(graphs) else {
-        return build_rows_resumable(n, shape, job, |i, j| kernel.eval(&graphs[i], &graphs[j]));
+        return build_rows(n, shape, job, |i, j| kernel.eval(&graphs[i], &graphs[j]));
     };
     let mut c = Crc32::new();
     c.update(b"gram-feat");
@@ -92,7 +114,7 @@ pub fn gram_resumable<K: GraphKernel + Sync + ?Sized>(
     for &p in &features.params {
         c.update_u64(p);
     }
-    build_rows_resumable(n, c.finish(), job, features.entry)
+    build_rows(n, c.finish(), job, features.entry)
 }
 
 /// [`gram_resumable`] for the WL subtree kernel, which always takes its
@@ -119,19 +141,21 @@ impl<K: GraphKernel> GraphKernel for PairwiseOnly<K> {
     }
 }
 
-/// The row-block core of [`gram_resumable`]: resumable, budget-metered
+/// The row-block core of [`gram`] and [`gram_resumable`]: budget-metered
 /// construction of a symmetric `n × n` matrix from a deterministic entry
-/// function, called for the upper triangle only.
-fn build_rows_resumable<F>(
+/// function, called for the upper triangle only. With a checkpoint `job`
+/// and an ambient store installed, it is also resumable.
+fn build_rows<F>(
     n: usize,
     fingerprint: u32,
-    job: &str,
+    job: Option<&str>,
     entry: F,
 ) -> x2v_guard::Result<Matrix>
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
-    let store = x2v_ckpt::ambient();
+    let store = job.and_then(|_| x2v_ckpt::ambient());
+    let job = job.unwrap_or_default(); // read only when `store` is set
     let mut m = Matrix::zeros(n, n);
     let mut start_row = 0usize;
 
@@ -228,7 +252,7 @@ where
 
 /// Writes upper-triangle rows into the symmetric `m`: `rows[k]` holds the
 /// entries `i..n` of row `i = first + k`.
-pub(crate) fn fill_upper(m: &mut Matrix, first: usize, rows: Vec<Vec<f64>>) {
+fn fill_upper(m: &mut Matrix, first: usize, rows: Vec<Vec<f64>>) {
     for (k, row) in rows.into_iter().enumerate() {
         let i = first + k;
         for (off, v) in row.into_iter().enumerate() {
@@ -448,7 +472,7 @@ mod tests {
     }
 
     /// Order/size product — deterministic and cheap, enough to check the
-    /// fill order of the resumable builder against the trait default.
+    /// fill order of the builder against a serial per-pair fill.
     struct ToyKernel;
     impl GraphKernel for ToyKernel {
         fn eval(&self, g: &Graph, h: &Graph) -> f64 {
@@ -457,9 +481,17 @@ mod tests {
     }
 
     #[test]
-    fn gram_resumable_without_store_matches_default_gram() {
+    fn gram_matches_serial_per_pair_fill() {
         let graphs: Vec<Graph> = (3..9).map(x2v_graph::generators::cycle).collect();
-        let expected = ToyKernel.gram(&graphs);
+        let n = graphs.len();
+        let expected = Matrix::from_flat(
+            n,
+            n,
+            (0..n * n)
+                .map(|k| ToyKernel.eval(&graphs[k / n], &graphs[k % n]))
+                .collect(),
+        );
+        assert!(gram(&ToyKernel, &graphs).approx_eq(&expected, 0.0));
         let got = gram_resumable(&ToyKernel, &graphs, "test-gram").unwrap();
         assert!(got.approx_eq(&expected, 0.0), "fill order must match");
     }

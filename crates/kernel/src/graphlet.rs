@@ -131,7 +131,7 @@ impl GraphKernel for GraphletKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gram::is_psd;
+    use crate::gram::{gram, is_psd};
     use x2v_graph::generators::{complete, cycle, path, petersen, star};
 
     #[test]
@@ -182,7 +182,7 @@ mod tests {
     fn kernel_psd_and_normalised() {
         let k = GraphletKernel::three_four();
         let graphs = vec![cycle(5), path(5), star(4), complete(5), petersen()];
-        assert!(is_psd(&k.gram(&graphs), 1e-9));
+        assert!(is_psd(&gram(&k, &graphs), 1e-9));
         let f = k.features(&cycle(6));
         // Normalisation is over the concatenated count vector.
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);

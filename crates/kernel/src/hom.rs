@@ -1,6 +1,6 @@
 //! The homomorphism-vector kernel of eq. (4.1), as a [`GraphKernel`].
 
-use x2v_core::GraphKernel;
+use x2v_core::{FeatureGram, GraphKernel};
 use x2v_graph::Graph;
 use x2v_hom::vectors::HomBasis;
 
@@ -61,43 +61,39 @@ impl GraphKernel for LogHomKernel {
         x2v_linalg::vector::dot(&self.basis.embed_log(g), &self.basis.embed_log(h))
     }
 
-    fn gram(&self, graphs: &[Graph]) -> x2v_linalg::Matrix {
-        let embeds: Vec<Vec<f64>> = graphs.iter().map(|g| self.basis.embed_log(g)).collect();
-        let n = graphs.len();
-        let mut m = x2v_linalg::Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let v = x2v_linalg::vector::dot(&embeds[i], &embeds[j]);
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
+    /// One embedding pass over the dataset, then the same dot as
+    /// [`GraphKernel::eval`] — bit-identical to it.
+    fn feature_gram(&self, graphs: &[Graph]) -> Option<FeatureGram> {
+        let embeds = self.basis.embed_dataset(graphs);
+        Some(FeatureGram {
+            params: vec![self.basis.dimension() as u64],
+            entry: Box::new(move |i, j| x2v_linalg::vector::dot(&embeds[i], &embeds[j])),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gram::is_psd;
+    use crate::gram::{gram, is_psd};
     use x2v_graph::generators::{cycle, path, petersen, star};
 
     #[test]
     fn hom_kernel_psd() {
         let k = HomKernel::trees_and_cycles(10);
         let graphs = vec![cycle(5), path(5), star(4), petersen()];
-        assert!(is_psd(&k.gram(&graphs), 1e-6));
+        assert!(is_psd(&gram(&k, &graphs), 1e-6));
     }
 
     #[test]
     fn log_kernel_psd_and_batch_consistent() {
         let k = LogHomKernel::trees_and_cycles(12);
         let graphs = vec![cycle(5), path(6), star(4)];
-        let gram = k.gram(&graphs);
-        assert!(is_psd(&gram, 1e-9));
+        let m = gram(&k, &graphs);
+        assert!(is_psd(&m, 1e-9));
         for i in 0..graphs.len() {
             for j in 0..graphs.len() {
-                assert!((gram[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
+                assert!((m[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
             }
         }
     }

@@ -13,8 +13,9 @@
 //! * [`hom`] — the homomorphism-vector kernel of eq. (4.1);
 //! * [`node`] — node kernels (diffusion / regularised Laplacian, the
 //!   Kondor–Lafferty line the paper mentions);
-//! * [`gram`] — Gram-matrix utilities: centering, cosine normalisation,
-//!   PSD verification;
+//! * [`gram`] — the one Gram builder ([`gram::gram`], and its crash-safe
+//!   twin [`gram::gram_resumable`]) plus Gram-matrix utilities: centering,
+//!   cosine normalisation, PSD verification;
 //! * [`svm`] — a kernel SVM (SMO) and a kernel perceptron: the downstream
 //!   classifiers the paper's empirical claims are phrased in terms of;
 //! * [`kpca`] — kernel principal component analysis;

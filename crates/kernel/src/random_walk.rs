@@ -70,7 +70,7 @@ impl GraphKernel for RandomWalkKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gram::is_psd;
+    use crate::gram::{gram, is_psd};
     use x2v_graph::generators::{cycle, path, star};
     use x2v_graph::ops::permute;
 
@@ -95,7 +95,7 @@ mod tests {
     fn psd_on_dataset() {
         let k = RandomWalkKernel::new(0.05, 6);
         let graphs = vec![cycle(4), cycle(5), path(4), star(3)];
-        assert!(is_psd(&k.gram(&graphs), 1e-7));
+        assert!(is_psd(&gram(&k, &graphs), 1e-7));
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl GraphKernel for ShortestPathKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gram::is_psd;
+    use crate::gram::{gram, is_psd};
     use x2v_graph::generators::{cycle, path, petersen, star};
     use x2v_graph::ops::permute;
 
@@ -88,7 +88,7 @@ mod tests {
     fn psd_and_invariant() {
         let k = ShortestPathKernel::new();
         let graphs = vec![cycle(5), path(5), star(4), petersen()];
-        assert!(is_psd(&k.gram(&graphs), 1e-8));
+        assert!(is_psd(&gram(&k, &graphs), 1e-8));
         let g = petersen();
         let p = permute(&g, &[9, 8, 7, 6, 5, 4, 3, 2, 1, 0]);
         assert_eq!(k.eval(&g, &g), k.eval(&g, &p));

@@ -2,7 +2,6 @@
 
 use x2v_core::{FeatureGram, GraphKernel};
 use x2v_graph::Graph;
-use x2v_linalg::Matrix;
 use x2v_wl::features::{dataset_sparse_features, SparseWlFeatures};
 use x2v_wl::Refiner;
 
@@ -11,9 +10,9 @@ use x2v_wl::Refiner;
 ///
 /// The paper reports `t = 5` as the sweet spot in practice; that is the
 /// default. The kernel is stateless (and therefore `Sync`): each `eval`
-/// refines through a fresh interner, while Gram builders take the explicit
-/// feature map ([`GraphKernel::feature_gram`]) — one pass through a shared
-/// interner. Kernel *values* don't depend on interner identity — a feature
+/// refines through a fresh interner, while the Gram builder
+/// ([`crate::gram::gram`]) takes the explicit feature map
+/// ([`GraphKernel::feature_gram`]) — one pass through a shared interner. Kernel *values* don't depend on interner identity — a feature
 /// dot product compares signature multisets, which are intrinsic to the
 /// graphs — so both paths agree bit for bit.
 #[derive(Clone, Copy, Debug)]
@@ -64,15 +63,6 @@ impl WlSubtreeKernel {
             a.dot(b)
         }
     }
-
-    /// The Gram entries over `graphs` from one refinement pass through a
-    /// shared interner. Bit-identical to [`GraphKernel::eval`], which runs
-    /// the same dot on a fresh interner's features.
-    fn sparse_entries(&self, graphs: &[Graph]) -> impl Fn(usize, usize) -> f64 + Send + Sync {
-        let feats = dataset_sparse_features(graphs, self.rounds);
-        let kernel = *self;
-        move |i, j| kernel.dot(&feats[i], &feats[j])
-    }
 }
 
 impl GraphKernel for WlSubtreeKernel {
@@ -83,31 +73,22 @@ impl GraphKernel for WlSubtreeKernel {
         self.dot(&fg, &fh)
     }
 
+    /// One refinement pass through a shared interner, then the same dot
+    /// as [`GraphKernel::eval`] — bit-identical to it.
     fn feature_gram(&self, graphs: &[Graph]) -> Option<FeatureGram> {
+        let feats = dataset_sparse_features(graphs, self.rounds);
+        let kernel = *self;
         Some(FeatureGram {
             params: vec![self.rounds as u64, self.discounted as u64],
-            entry: Box::new(self.sparse_entries(graphs)),
+            entry: Box::new(move |i, j| kernel.dot(&feats[i], &feats[j])),
         })
-    }
-
-    fn gram(&self, graphs: &[Graph]) -> Matrix {
-        let _timer = x2v_obs::span("kernel/gram");
-        let n = graphs.len();
-        x2v_obs::counter_add("kernel/gram_entries", (n * n) as u64);
-        // One feature pass, then the O(n²) sparse dots fanned out over
-        // parallel row chunks (an infallible site: a worker panic re-panics).
-        let entry = self.sparse_entries(graphs);
-        let rows = x2v_par::map_items(n, 1, |i| (i..n).map(|j| entry(i, j)).collect::<Vec<f64>>());
-        let mut m = Matrix::zeros(n, n);
-        crate::gram::fill_upper(&mut m, 0, rows);
-        m
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gram::is_psd;
+    use crate::gram::{gram, is_psd};
     use x2v_graph::generators::{cycle, path, star};
     use x2v_graph::ops::{disjoint_union, permute};
 
@@ -115,10 +96,10 @@ mod tests {
     fn gram_matches_pairwise_eval() {
         let graphs = vec![cycle(5), path(5), star(4)];
         let k = WlSubtreeKernel::new(3);
-        let gram = k.gram(&graphs);
+        let m = gram(&k, &graphs);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((gram[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
+                assert!((m[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
             }
         }
     }
@@ -127,9 +108,9 @@ mod tests {
     fn kernel_is_psd() {
         let graphs = vec![cycle(4), cycle(5), path(4), star(3), petersen()];
         let k = WlSubtreeKernel::default_rounds();
-        assert!(is_psd(&k.gram(&graphs), 1e-8));
+        assert!(is_psd(&gram(&k, &graphs), 1e-8));
         let kd = WlSubtreeKernel::discounted(5);
-        assert!(is_psd(&kd.gram(&graphs), 1e-8));
+        assert!(is_psd(&gram(&kd, &graphs), 1e-8));
     }
 
     fn petersen() -> Graph {

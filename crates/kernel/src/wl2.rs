@@ -8,20 +8,18 @@
 //! sees cycle structure that leaves 1-WL blind on regular graphs — at
 //! `O(n³)`-per-round cost.
 
-use x2v_core::GraphKernel;
+use x2v_core::{FeatureGram, GraphKernel};
 use x2v_graph::hash::FxHashMap;
 use x2v_graph::Graph;
-use x2v_linalg::Matrix;
 use x2v_wl::kwl::KwlRefiner;
 
 /// The 2-WL tuple-colour kernel.
 ///
-/// Stateless (and `Sync`, so Gram rows can be evaluated in parallel):
-/// each evaluation runs both graphs through one fresh tuple-colour
-/// interner. Colour *ids* are only ever compared between histograms
-/// produced by the same interner, and equal tuple structures receive
-/// equal ids in any interner, so the kernel values match the former
-/// shared-interner implementation bit for bit.
+/// Stateless (and `Sync`): `eval` runs both graphs through one fresh
+/// tuple-colour interner, the feature map ([`GraphKernel::feature_gram`])
+/// every graph of a dataset through one shared interner. Colour *ids* are
+/// only ever compared within one interner, and a colour's count does not
+/// depend on which interner named it, so both paths agree bit for bit.
 pub struct Wl2Kernel {
     /// Number of refinement rounds after the atomic initialisation.
     pub rounds: usize,
@@ -52,36 +50,23 @@ impl GraphKernel for Wl2Kernel {
         hist_dot(&a, &b)
     }
 
-    fn gram(&self, graphs: &[Graph]) -> Matrix {
-        // One shared interner for the whole batch (serial), parallel dot
-        // products over the aligned histograms.
+    fn feature_gram(&self, graphs: &[Graph]) -> Option<FeatureGram> {
         let mut r = KwlRefiner::new(2);
         let hists: Vec<FxHashMap<u64, u64>> = graphs
             .iter()
             .map(|g| r.run_rounds(g, self.rounds).histogram())
             .collect();
-        let n = graphs.len();
-        let rows = x2v_par::map_items(n, 1, |i| {
-            (i..n)
-                .map(|j| hist_dot(&hists[i], &hists[j]))
-                .collect::<Vec<f64>>()
-        });
-        let mut m = Matrix::zeros(n, n);
-        for (i, row) in rows.into_iter().enumerate() {
-            for (off, v) in row.into_iter().enumerate() {
-                let j = i + off;
-                m[(i, j)] = v;
-                m[(j, i)] = v;
-            }
-        }
-        m
+        Some(FeatureGram {
+            params: vec![self.rounds as u64],
+            entry: Box::new(move |i, j| hist_dot(&hists[i], &hists[j])),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gram::is_psd;
+    use crate::gram::{gram, is_psd};
     use x2v_graph::generators::{circulant, cycle, path};
     use x2v_graph::ops::{disjoint_union, permute};
 
@@ -89,7 +74,7 @@ mod tests {
     fn psd_and_invariant() {
         let k = Wl2Kernel::new(2);
         let graphs = vec![cycle(5), path(5), circulant(6, &[1, 2])];
-        assert!(is_psd(&k.gram(&graphs), 1e-6));
+        assert!(is_psd(&gram(&k, &graphs), 1e-6));
         let g = cycle(6);
         let p = permute(&g, &[5, 3, 1, 0, 2, 4]);
         assert!((k.eval(&g, &g) - k.eval(&g, &p)).abs() < 1e-9);
@@ -110,10 +95,10 @@ mod tests {
     fn gram_matches_eval() {
         let k = Wl2Kernel::new(2);
         let graphs = vec![cycle(4), path(4), cycle(5)];
-        let gram = k.gram(&graphs);
+        let m = gram(&k, &graphs);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((gram[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
+                assert!((m[(i, j)] - k.eval(&graphs[i], &graphs[j])).abs() < 1e-9);
             }
         }
     }

@@ -4,7 +4,7 @@
 
 use x2v_graph::generators::{cycle, path, star};
 use x2v_graph::Graph;
-use x2v_kernel::gram::{gram_from_features, gram_resumable, PairwiseOnly};
+use x2v_kernel::gram::{gram, gram_from_features, gram_resumable, PairwiseOnly};
 use x2v_kernel::wl::WlSubtreeKernel;
 
 fn graphs() -> Vec<Graph> {
@@ -26,6 +26,8 @@ fn both_builders_meter_one_unit_per_entry() {
     x2v_guard::install_ambient(x2v_guard::Budget::unlimited().with_work_limit(entries));
     assert!(gram_from_features(&kernel, &graphs, "budget-feat").is_ok());
     assert!(gram_resumable(&pairwise, &graphs, "budget-pair").is_ok());
+    x2v_guard::install_ambient(x2v_guard::Budget::unlimited().with_work_limit(entries));
+    gram(&kernel, &graphs);
 
     x2v_guard::install_ambient(x2v_guard::Budget::unlimited().with_work_limit(entries - 1));
     let feat = gram_from_features(&kernel, &graphs, "budget-feat");
@@ -38,5 +40,12 @@ fn both_builders_meter_one_unit_per_entry() {
         matches!(pair, Err(x2v_guard::GuardError::BudgetExhausted { .. })),
         "{pair:?}"
     );
+    // The infallible builder meters the same way and panics with the
+    // typed diagnostic.
+    x2v_guard::install_ambient(x2v_guard::Budget::unlimited().with_work_limit(entries - 1));
+    let tripped = std::panic::catch_unwind(|| gram(&kernel, &graphs));
+    let msg = tripped.expect_err("gram must trip one unit short");
+    let msg = msg.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("budget exhausted"), "{msg}");
     x2v_guard::clear_ambient();
 }

@@ -145,8 +145,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 mod tests {
     use super::*;
 
+    /// Counting is process-global, so the enabled and the disabled case
+    /// share one test: run in parallel, the disabled case switched
+    /// counting off under the enabled one.
     #[test]
-    fn counting_observes_a_vec_allocation() {
+    fn counting_observes_a_vec_allocation_and_disabled_counting_is_inert() {
         set_alloc_counting(true);
         let before = alloc_snapshot();
         let (t_bytes0, t_allocs0) = thread_alloc_totals();
@@ -167,17 +170,12 @@ mod tests {
         assert!(t_bytes1 - t_bytes0 >= 4096);
         assert!(t_allocs1 > t_allocs0);
         assert!(freed.frees > after.frees, "the drop must be counted");
-    }
 
-    #[test]
-    fn disabled_counting_is_inert() {
-        set_alloc_counting(false);
+        // Disabled: no allocation is counted.
+        assert!(!alloc_counting_enabled());
         let before = alloc_snapshot();
         let _v: Vec<u64> = vec![0; 512];
-        // Other tests may race counting on; only assert when it stayed off.
-        if !alloc_counting_enabled() {
-            let after = alloc_snapshot();
-            assert_eq!(before.allocs, after.allocs);
-        }
+        let after = alloc_snapshot();
+        assert_eq!(before.allocs, after.allocs);
     }
 }

@@ -178,6 +178,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_well_formed() {
+        let _serial = crate::ring::registry_test_lock();
         let (json, stats) = trace_json_with_stats("empty");
         assert!(json.contains("\"traceEvents\": ["));
         assert!(json.contains(TRACE_SCHEMA));

@@ -122,6 +122,15 @@ pub(crate) fn reset() {
     }
 }
 
+/// Serialises the unit tests that record into, reset or snapshot the
+/// process-global registry: run in parallel, one test's `reset` wiped
+/// another's events between its `record` and its `snapshot`.
+#[cfg(test)]
+pub(crate) fn registry_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +147,7 @@ mod tests {
 
     #[test]
     fn events_record_in_order_with_monotone_ts() {
+        let _serial = registry_test_lock();
         reset();
         record(ev("a", Phase::Begin));
         record(ev("a", Phase::End));
@@ -155,6 +165,7 @@ mod tests {
 
     #[test]
     fn distinct_threads_get_distinct_tids() {
+        let _serial = registry_test_lock();
         reset();
         let handles: Vec<_> = (0..3)
             .map(|_| {

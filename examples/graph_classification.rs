@@ -4,12 +4,11 @@
 //!
 //! Run with `cargo run --release --example graph_classification`.
 
-use x2vec_suite::core::GraphKernel;
 use x2vec_suite::datasets::metrics::accuracy;
 use x2vec_suite::datasets::splits::stratified_folds;
 use x2vec_suite::datasets::synthetic::{bipartite_vs_odd, cycles_vs_trees};
 use x2vec_suite::hom::vectors::HomBasis;
-use x2vec_suite::kernel::gram::normalize;
+use x2vec_suite::kernel::gram::{gram, normalize};
 use x2vec_suite::kernel::svm::{MulticlassSvm, SvmConfig};
 use x2vec_suite::kernel::wl::WlSubtreeKernel;
 use x2vec_suite::linalg::Matrix;
@@ -47,7 +46,7 @@ fn main() {
 
         // Route A: WL subtree kernel, the paper's t = 5 default.
         let wl = WlSubtreeKernel::default_rounds();
-        let acc_wl = cv(&normalize(&wl.gram(&data.graphs)), &data.labels, 5);
+        let acc_wl = cv(&normalize(&gram(&wl, &data.graphs)), &data.labels, 5);
         println!("  WL subtree kernel (t=5):  {:.1}%", 100.0 * acc_wl);
 
         // Route B: explicit hom-vector embedding + linear kernel.

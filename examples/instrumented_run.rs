@@ -6,9 +6,9 @@
 //! `exp_*` binary without touching code.
 
 use x2vec_suite::datasets::synthetic::cycles_vs_trees;
+use x2vec_suite::kernel::gram::{gram, normalize};
 use x2vec_suite::kernel::svm::{MulticlassSvm, SvmConfig};
 use x2vec_suite::kernel::wl::WlSubtreeKernel;
-use x2vec_suite::{core::GraphKernel, kernel::gram::normalize};
 
 fn main() {
     // Programmatic switch — equivalent to launching with `X2V_OBS=1`.
@@ -19,11 +19,11 @@ fn main() {
     // this file does its own timing.
     let data = cycles_vs_trees(16, 7, 3);
     let kernel = WlSubtreeKernel::default_rounds();
-    let gram = normalize(&kernel.gram(&data.graphs));
-    let svm = MulticlassSvm::train(&gram, &data.labels, SvmConfig::default());
+    let k = normalize(&gram(&kernel, &data.graphs));
+    let svm = MulticlassSvm::train(&k, &data.labels, SvmConfig::default());
     let correct = (0..data.graphs.len())
         .filter(|&i| {
-            let row: Vec<f64> = (0..data.graphs.len()).map(|j| gram[(i, j)]).collect();
+            let row: Vec<f64> = (0..data.graphs.len()).map(|j| k[(i, j)]).collect();
             svm.predict(&row) == data.labels[i]
         })
         .count();

@@ -7,8 +7,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use x2vec_suite::core::hom_embed::HomVectorEmbedding;
 use x2vec_suite::core::wl_embed::WlSubtreeEmbedding;
-use x2vec_suite::core::{GraphEmbedding, GraphKernel};
+use x2vec_suite::core::GraphEmbedding;
 use x2vec_suite::graph::generators::{cycle, petersen, random_tree};
+use x2vec_suite::kernel::gram::gram;
 use x2vec_suite::kernel::wl::WlSubtreeKernel;
 
 fn main() {
@@ -48,11 +49,11 @@ fn main() {
 
     // 4. The WL subtree kernel (t = 5, the paper's practical default).
     let kernel = WlSubtreeKernel::default_rounds();
-    let gram = kernel.gram(&graphs);
+    let k = gram(&kernel, &graphs);
     println!("\nWL subtree kernel Gram matrix:");
     for (i, name) in names.iter().enumerate() {
         let row: Vec<String> = (0..graphs.len())
-            .map(|j| format!("{:7.0}", gram[(i, j)]))
+            .map(|j| format!("{:7.0}", k[(i, j)]))
             .collect();
         println!("  {name:9} {}", row.join(" "));
     }

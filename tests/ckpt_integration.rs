@@ -14,7 +14,7 @@ use x2v_embed::word2vec::{SgnsConfig, Word2Vec, CKPT_KIND};
 use x2v_graph::generators::cycle;
 use x2v_graph::Graph;
 use x2v_guard::{Budget, GuardError};
-use x2v_kernel::gram::gram_resumable;
+use x2v_kernel::gram::{gram, gram_resumable};
 use x2v_kernel::wl::WlSubtreeKernel;
 
 /// Small two-topic corpus: tokens 0..5 co-occur, tokens 5..10 co-occur.
@@ -181,6 +181,15 @@ fn interrupted_and_resumed_runs_are_bit_identical_to_uninterrupted() {
         bits(wl3_gram.as_slice()),
         "WL(3) after a WL(2) checkpoint must equal an uninterrupted WL(3)"
     );
+
+    // ---- The infallible `gram` never touches the ambient store: with
+    // resume still requested it neither resumes, cold-starts nor saves,
+    // though 10 rows would cross a checkpoint block.
+    let touched = || ["ckpt/saved", "ckpt/resumed", "ckpt/fallback_cold_start"].map(counter);
+    let before = touched();
+    let plain = gram(&wl3, &graphs);
+    assert_eq!(touched(), before, "gram must not read or write the store");
+    assert_eq!(bits(plain.as_slice()), bits(expected_wl3.as_slice()));
 
     // ---- The obs counters recorded the whole story.
     let report = x2v_obs::report("ckpt-integration");

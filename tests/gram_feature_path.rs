@@ -5,8 +5,10 @@
 //! for the plain and the discounted kernel, and budget trips at the same
 //! row. Both paths share the merge-join dot, so the oracle's entries are
 //! in turn checked against an independent hash-probe dot over
-//! `WlHistory::histogram` maps. The ambient budget is process-global, so
-//! the whole scenario runs inside ONE `#[test]`.
+//! `WlHistory::histogram` maps. The other feature paths — the 2-WL kernel
+//! and the log hom-vector kernel — are pinned to the same oracle, and the
+//! infallible [`gram`] to [`gram_resumable`]. The ambient budget is
+//! process-global, so the whole scenario runs inside ONE `#[test]`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,8 +17,11 @@ use x2v_datasets::synthetic::cycles_vs_trees;
 use x2v_graph::generators::gnp;
 use x2v_graph::Graph;
 use x2v_guard::{Budget, GuardError};
-use x2v_kernel::gram::{gram_resumable, PairwiseOnly};
+use x2v_hom::vectors::HomBasis;
+use x2v_kernel::gram::{gram, gram_resumable, PairwiseOnly};
+use x2v_kernel::hom::LogHomKernel;
 use x2v_kernel::wl::WlSubtreeKernel;
+use x2v_kernel::wl2::Wl2Kernel;
 use x2v_wl::Refiner;
 
 /// Structured cycles-vs-trees graphs plus labelled random G(n, p) graphs.
@@ -62,6 +67,36 @@ fn hash_probe_eval(kernel: &WlSubtreeKernel, g: &Graph, h: &Graph) -> f64 {
     total
 }
 
+/// The pairwise oracle's Gram for `kernel`, built serially.
+fn pairwise_reference<K: GraphKernel + Sync>(kernel: K, graphs: &[Graph]) -> x2v_linalg::Matrix {
+    x2v_par::with_threads(1, || {
+        gram_resumable(&PairwiseOnly(kernel), graphs, "gram-feature-path").unwrap()
+    })
+}
+
+/// `kernel`'s feature-path Gram, from [`gram_resumable`] and from
+/// [`gram`], is bit-equal to the pairwise `reference` at 1, 2 and 8
+/// threads.
+fn assert_feature_path_matches(
+    kernel: &(dyn GraphKernel + Sync),
+    graphs: &[Graph],
+    reference: &x2v_linalg::Matrix,
+    what: &str,
+) {
+    for threads in [1usize, 2, 8] {
+        let (feat, infallible) = x2v_par::with_threads(threads, || {
+            let feat = gram_resumable(kernel, graphs, "gram-feature-path").unwrap();
+            (feat, gram(kernel, graphs))
+        });
+        assert_eq!(bits(&feat), bits(reference), "{what}, {threads} threads");
+        assert_eq!(
+            bits(&infallible),
+            bits(&feat),
+            "{what}: gram vs gram_resumable, {threads} threads"
+        );
+    }
+}
+
 /// The work done when a `limit`-unit budget trips the build.
 fn trip_work(kernel: &(dyn GraphKernel + Sync), graphs: &[Graph], limit: u64) -> u64 {
     x2v_guard::install_ambient(Budget::unlimited().with_work_limit(limit));
@@ -83,9 +118,7 @@ fn feature_path_bit_equals_pairwise_oracle() {
     for kernel in [WlSubtreeKernel::new(3), WlSubtreeKernel::discounted(5)] {
         let oracle = PairwiseOnly(kernel);
         let what = format!("discounted={}", kernel.is_discounted());
-        let reference = x2v_par::with_threads(1, || {
-            gram_resumable(&oracle, &graphs, "gram-feature-path").unwrap()
-        });
+        let reference = pairwise_reference(kernel, &graphs);
         for (i, g) in graphs.iter().enumerate() {
             for (j, h) in graphs.iter().enumerate() {
                 assert_eq!(
@@ -95,12 +128,7 @@ fn feature_path_bit_equals_pairwise_oracle() {
                 );
             }
         }
-        for threads in [1usize, 2, 8] {
-            let feat = x2v_par::with_threads(threads, || {
-                gram_resumable(&kernel, &graphs, "gram-feature-path").unwrap()
-            });
-            assert_eq!(bits(&feat), bits(&reference), "{what}, {threads} threads");
-        }
+        assert_feature_path_matches(&kernel, &graphs, &reference, &what);
         // One unit short trips at the last row (its single entry) on both
         // paths; a mid-matrix limit trips both at the same inner row.
         for limit in [entries - 1, 2 * n] {
@@ -115,4 +143,13 @@ fn feature_path_bit_equals_pairwise_oracle() {
             }
         }
     }
+
+    // The other feature paths, over a subset that keeps the O(n³)-per-round
+    // 2-WL oracle (two fresh refinements per entry) fast in debug builds.
+    let subset = &graphs[..16];
+    let reference = pairwise_reference(Wl2Kernel::new(2), subset);
+    assert_feature_path_matches(&Wl2Kernel::new(2), subset, &reference, "2-WL");
+    let basis = || HomBasis::trees_and_cycles(8);
+    let reference = pairwise_reference(LogHomKernel::new(basis()), subset);
+    assert_feature_path_matches(&LogHomKernel::new(basis()), subset, &reference, "log-hom");
 }

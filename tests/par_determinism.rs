@@ -21,7 +21,7 @@ use x2v_embed::word2vec::{SgnsConfig, Word2Vec};
 use x2v_graph::generators::gnp;
 use x2v_graph::Graph;
 use x2v_guard::{Budget, GuardError};
-use x2v_kernel::gram::{gram_resumable, PairwiseOnly};
+use x2v_kernel::gram::{gram, gram_resumable, PairwiseOnly};
 use x2v_kernel::wl::WlSubtreeKernel;
 use x2v_wl::Refiner;
 
@@ -82,9 +82,9 @@ fn outputs_are_bit_identical_across_thread_counts() {
 
     // ---- Gram matrices (batch path: shared interner + parallel rows).
     let kernel = WlSubtreeKernel::new(3);
-    let gram_1 = x2v_par::with_threads(1, || kernel.gram(&graphs));
+    let gram_1 = x2v_par::with_threads(1, || gram(&kernel, &graphs));
     for t in THREADS {
-        let m = x2v_par::with_threads(t, || kernel.gram(&graphs));
+        let m = x2v_par::with_threads(t, || gram(&kernel, &graphs));
         assert_eq!(
             bits(gram_1.as_slice()),
             bits(m.as_slice()),

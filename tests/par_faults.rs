@@ -3,7 +3,8 @@
 //! Programmatic scenarios (plain `cargo test`): an armed
 //! `panic@par/worker` fault panics a worker mid-job and must surface as a
 //! clean typed [`GuardError::WorkerPanic`] on fallible call sites (and as
-//! an ordinary re-panic on infallible ones), leave the pool un-poisoned,
+//! an ordinary re-panic on infallible ones, `x2v_par::map_items` and the
+//! Gram builder [`gram`]), leave the pool un-poisoned,
 //! and leave the obs registry able to produce an intact report. A
 //! cross-thread [`CancelToken`] must cancel a parallel Gram build
 //! mid-flight.
@@ -21,7 +22,7 @@ use x2v_datasets::synthetic::cycles_vs_trees;
 use x2v_graph::generators::gnp;
 use x2v_graph::Graph;
 use x2v_guard::{faults, Budget, CancelToken, GuardError};
-use x2v_kernel::gram::{gram_resumable, PairwiseOnly};
+use x2v_kernel::gram::{gram, gram_resumable, PairwiseOnly};
 use x2v_kernel::wl::WlSubtreeKernel;
 
 use rand::rngs::StdRng;
@@ -70,14 +71,14 @@ fn worker_panics_are_contained_and_cancel_reaches_workers() {
             faults::any_armed(),
             "X2V_FAULTS={spec:?} parsed to no armed fault"
         );
-        env_armed_worker_panic(&spec);
+        infallible_site_repanics(&format!("X2V_FAULTS={spec:?}"));
         return;
     }
     faults::clear();
 
     let kernel = WlSubtreeKernel::new(3);
     let graphs = small_graphs();
-    let clean = x2v_par::with_threads(4, || kernel.gram(&graphs));
+    let clean = x2v_par::with_threads(4, || gram(&kernel, &graphs));
 
     // ---- Fallible call site: the armed worker panic surfaces as the
     // typed error, naming the site and carrying the panic message. The
@@ -132,15 +133,16 @@ fn worker_panics_are_contained_and_cancel_reaches_workers() {
     // ---- Infallible call site: the panic re-surfaces as a panic (the
     // serial contract), and the pool again survives.
     faults::inject_panic(x2v_par::WORKER_SITE, 1);
-    let caught = std::panic::catch_unwind(|| x2v_par::with_threads(4, || kernel.gram(&graphs)));
+    infallible_site_repanics("programmatic fault");
+
+    // ---- The infallible Gram builder: the typed error re-surfaces as a
+    // panic carrying the worker's message, and the pool again survives.
+    faults::inject_panic(x2v_par::WORKER_SITE, 1);
+    let caught = std::panic::catch_unwind(|| x2v_par::with_threads(4, || gram(&kernel, &graphs)));
     faults::clear();
-    let payload = caught.expect_err("armed worker panic must propagate");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| "opaque".into());
+    let msg = panic_message(caught.expect_err("armed worker panic must propagate"));
     assert!(msg.contains("injected panic fault"), "got {msg:?}");
-    let survived = x2v_par::with_threads(4, || kernel.gram(&graphs));
+    let survived = x2v_par::with_threads(4, || gram(&kernel, &graphs));
     assert_eq!(survived.as_slice(), after.as_slice());
 
     // ---- Cross-thread cancellation mid-flight: a CancelToken fired from
@@ -167,7 +169,7 @@ fn worker_panics_are_contained_and_cancel_reaches_workers() {
     assert_eq!(after_cancel.as_slice(), after.as_slice());
 
     // ---- The obs registry survived all of it: the report renders, the
-    // fault fired twice, and the pool counters moved.
+    // fault fired three times, and the pool counters moved.
     let report = x2v_obs::report("par-faults");
     assert!(
         report
@@ -175,30 +177,36 @@ fn worker_panics_are_contained_and_cancel_reaches_workers() {
             .get("guard/faults_injected")
             .copied()
             .unwrap_or(0)
-            >= 2
+            >= 3
     );
     assert!(report.counters.get("par/tasks").copied().unwrap_or(0) > 0);
     assert!(!report.to_json().is_empty());
 }
 
-/// The CI leg: `X2V_FAULTS=panic@par/worker` armed through the
-/// environment must take the same containment path.
-fn env_armed_worker_panic(spec: &str) {
+/// The message of a caught panic, or `"opaque"` for a non-string payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| "opaque".into())
+}
+
+/// With a `par/worker` panic armed (by `armed_by`), an infallible
+/// `x2v_par::map_items` call re-panics with the injected message, and the
+/// next job runs clean on the surviving pool.
+fn infallible_site_repanics(armed_by: &str) {
     let caught = std::panic::catch_unwind(|| {
         x2v_par::with_threads(4, || x2v_par::map_items(64, 1, |i| i * i))
     });
     match caught {
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "opaque".into());
+            let msg = panic_message(payload);
             assert!(
                 msg.contains("injected panic fault"),
-                "X2V_FAULTS={spec:?} produced unexpected panic {msg:?}"
+                "{armed_by} produced unexpected panic {msg:?}"
             );
         }
-        Ok(_) => panic!("X2V_FAULTS={spec:?} did not fire in 64 chunks"),
+        Ok(_) => panic!("{armed_by} did not fire in 64 chunks"),
     }
     // One-shot: the next job runs clean on the surviving pool.
     let ok = x2v_par::with_threads(4, || x2v_par::map_items(64, 1, |i| i * i));
